@@ -15,20 +15,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .closed_forms import (
     MODE_CLOSED_FORM,
     ClosedFormError,
-    closed_form_report,
     diff_rows,
     write_diff_csv,
 )
 from .criteria import CRITERION_HUR, CRITERION_SRUR, evaluate_criterion
 from .families import (
     FamilyError,
-    family_descriptor,
     family_for_dimension,
     family_observables,
     family_state,
@@ -45,7 +44,7 @@ from .observables import (
     explicit_pairing,
     observable_from_json,
 )
-from .oracle import OracleError, audit_dump, oracle_moments
+from .oracle import OracleError, audit_dump
 from .states import (
     InvalidStateError,
     _matrix_from_json,
@@ -54,6 +53,7 @@ from .states import (
 )
 from .thresholds import (
     ThresholdError,
+    family_evaluator,
     find_threshold,
     sweep,
     sweep_csv_text,
@@ -106,7 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--p-end", type=float, default=1.0)
     sw.add_argument("--steps", type=int, default=101)
     sw.add_argument("--jobs", type=int, default=1,
-                    help="parallel evaluations; output is order-independent")
+                    help="accepted and validated; the sweep runs as one "
+                         "vectorised single-threaded pass, so output never "
+                         "depends on it")
     sw.add_argument("--out", type=Path, required=True, help="CSV output path")
 
     th = sub.add_parser("threshold", help="bisect the violation threshold in p")
@@ -188,18 +190,10 @@ def _cmd_evaluate(args) -> int:
         family = family_for_dimension(d)
         if args.pairing != "transpose" or args.pairing_file is not None:
             raise _ConfigError("the isotropic families use the transpose pairing")
-        if args.mode == MODE_CLOSED_FORM:
-            report = closed_form_report(family, p, args.criterion)
-        else:
-            b1, b2 = family_observables(family)
-            rho = family_state(family, p)
-            report = evaluate_criterion(
-                rho, b1, b2,
-                mode=args.mode,
-                criterion=args.criterion,
-                state_descriptor=family_descriptor(family, p),
-            )
-        audit_inputs = (family_state(family, p),) + family_observables(family)
+        report = family_evaluator(family, args.criterion, args.mode)(p)
+        rho = family_state(family, p)
+        b1, b2 = family_observables(family)
+        rule = default_pairing
         closed_diff = diff_rows(family, p) if args.audit else None
     else:
         if args.d is not None:
@@ -229,15 +223,16 @@ def _cmd_evaluate(args) -> int:
             criterion=args.criterion,
             state_descriptor=f"file:{args.state}; observables=({b1.label},{b2.label})",
         )
-        audit_inputs = (rho, b1, b2)
         closed_diff = None
 
     _print_json(report.to_json_dict())
 
     if args.audit:
-        rho_a, b1_a, b2_a = audit_inputs
-        engine = full_moments(rho_a, b1_a, b2_a)
-        oracle = audit_dump(rho_a, b1_a, b2_a)
+        if args.mode == MODE_CLOSED_FORM:
+            engine = full_moments(rho, b1, b2, rule)
+        else:
+            engine = report.moments
+        oracle = audit_dump(rho, b1, b2, rule)
         diffs = [
             abs(engine.as_dict()[key] - val)
             for key, val in oracle["moments"].items()
@@ -295,8 +290,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_threshold(args) -> int:
     d = _check_isotropic_dim(args.d)
-    if args.tol <= 0.0:
-        raise _ConfigError(f"--tol must be positive, got {args.tol}")
+    if not math.isfinite(args.tol) or args.tol <= 0.0:
+        raise _ConfigError(f"--tol must be positive and finite, got {args.tol}")
     result = find_threshold(
         "isotropic", d, criterion=args.criterion, mode=args.mode, tol=args.tol
     )

@@ -27,6 +27,7 @@ from .criteria import (
     CRITERION_HUR,
     CRITERION_SRUR,
     CriterionReport,
+    build_report,
     hur_rhs,
     srur_rhs,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "qubit_closed_forms",
     "qutrit_closed_forms",
     "closed_forms_for",
+    "closed_form_sides",
     "closed_form_report",
     "diff_rows",
     "write_diff_csv",
@@ -167,25 +169,25 @@ def closed_forms_for(family: str, p: float) -> ClosedFormMoments:
     raise ClosedFormError(f"no closed forms for family {family!r}")
 
 
-def closed_form_report(
+def closed_form_sides(
     family: str, p: float, criterion: str = CRITERION_SRUR
-) -> CriterionReport:
-    """Assemble the criterion from closed-form moments, mode-tagged."""
+) -> tuple[InferredMoments, float, float]:
+    """(moments, lhs, rhs) of the criterion on closed-form moments."""
     if criterion not in (CRITERION_SRUR, CRITERION_HUR):
         raise ClosedFormError(f"unknown criterion {criterion!r}")
     moments = closed_forms_for(family, p).to_moments()
     lhs = moments.var_inf_b1 * moments.var_inf_b2
     rhs = srur_rhs(moments) if criterion == CRITERION_SRUR else hur_rhs(moments)
-    margin = lhs - rhs
-    return CriterionReport(
-        criterion=criterion,
-        mode=MODE_CLOSED_FORM,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        violated=margin < 0.0,
-        moments=moments,
-        state_descriptor=family_descriptor(family, p),
+    return moments, lhs, rhs
+
+
+def closed_form_report(
+    family: str, p: float, criterion: str = CRITERION_SRUR
+) -> CriterionReport:
+    """Assemble the criterion from closed-form moments, mode-tagged."""
+    moments, lhs, rhs = closed_form_sides(family, p, criterion)
+    return build_report(
+        criterion, MODE_CLOSED_FORM, lhs, rhs, moments, family_descriptor(family, p)
     )
 
 

@@ -42,6 +42,8 @@ __all__ = [
     "evaluate_srur",
     "evaluate_hur",
     "evaluate_criterion",
+    "criterion_sides",
+    "build_report",
     "variance",
     "uncertainty_terms",
 ]
@@ -88,9 +90,12 @@ def hur_rhs(moments: InferredMoments) -> float:
     return 0.25 * moments.abs_mean_inf_commutator ** 2
 
 
-def _report_from_moments(
-    criterion: str, mode: str, moments: InferredMoments, state_descriptor: str
-) -> CriterionReport:
+def criterion_sides(moments, criterion: str, mode: str):
+    """(lhs, rhs) of one criterion in one engine mode.
+
+    moments is an InferredMoments, giving floats, or a MomentBatch, giving
+    (N,) arrays computed row by row.
+    """
     if criterion not in (CRITERION_SRUR, CRITERION_HUR):
         raise InferenceError(f"unknown criterion {criterion!r}")
     if mode == MODE_LINEAR_G:
@@ -100,6 +105,18 @@ def _report_from_moments(
     else:
         raise InferenceError(f"unknown engine mode {mode!r}")
     rhs = srur_rhs(moments) if criterion == CRITERION_SRUR else hur_rhs(moments)
+    return lhs, rhs
+
+
+def build_report(
+    criterion: str,
+    mode: str,
+    lhs: float,
+    rhs: float,
+    moments: InferredMoments,
+    state_descriptor: str,
+) -> CriterionReport:
+    """The report of one evaluation from its two sides."""
     margin = lhs - rhs
     # the flag is the exact sign; tolerance policy belongs to callers
     return CriterionReport(
@@ -136,7 +153,8 @@ def evaluate_criterion(
         setting = settings.pair_b1.bob.label if settings is not None else b1.label
         other = settings.pair_b2.bob.label if settings is not None else b2.label
         state_descriptor = f"dims={rho.dims}; observables=({setting},{other})"
-    return _report_from_moments(criterion, mode, moments, state_descriptor)
+    lhs, rhs = criterion_sides(moments, criterion, mode)
+    return build_report(criterion, mode, lhs, rhs, moments, state_descriptor)
 
 
 def evaluate_srur(

@@ -7,6 +7,11 @@ Both use the default transpose pairing.
 
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
+
+from .inference import MeasurementSettings, MomentBatch, joint_tables, moment_batch
 from .observables import Observable, qutrit_triplet, spin_half
 from .states import DensityMatrix, IsotropicParams, isotropic
 
@@ -19,6 +24,7 @@ __all__ = [
     "family_observables",
     "family_state",
     "family_descriptor",
+    "family_moments",
 ]
 
 FAMILY_QUBIT_XZ = "qubit-xz"
@@ -61,3 +67,22 @@ def family_descriptor(family: str, p: float) -> str:
     d = family_dimension(family)
     b1, b2 = family_observables(family)
     return f"isotropic(d={d}, p={p:.12g}); observables=({b1.label},{b2.label})"
+
+
+def family_moments(family: str) -> Callable[[np.ndarray], MomentBatch]:
+    """p values -> MomentBatch of the family's states at those p.
+
+    rho(p) = (1 - p) rho(0) + p rho(1) and every table cell is linear in rho,
+    so the tables at p are that mix of the tables of the two end states,
+    computed once here. No per-p state is built.
+    """
+    settings = MeasurementSettings.build(*family_observables(family))
+    ends = (family_state(family, 0.0), family_state(family, 1.0))
+    tables = joint_tables(settings, np.stack([rho.matrix for rho in ends]))
+
+    def moments_at(ps) -> MomentBatch:
+        w = np.asarray(ps, dtype=float)[:, None, None]
+        mixed = {name: (1.0 - w) * t[0] + w * t[1] for name, t in tables.items()}
+        return moment_batch(settings, mixed, ends[0].dim)
+
+    return moments_at

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .observables import Observable, ObservablePairing, default_pairing
-from .states import DensityMatrix
+from .states import PSD_TOL, DensityMatrix
 
 __all__ = [
     "OracleError",
@@ -24,7 +24,9 @@ __all__ = [
     "audit_dump",
 ]
 
-PROB_FLOOR = -1e-12
+# a state with eigenvalues >= -PSD_TOL gives probabilities >= -PSD_TOL * D;
+# those between that floor and PROB_CLAMP are set to 0
+PROB_CLAMP = 1e-12
 NORMALIZATION_TOL = 1e-10
 
 
@@ -79,6 +81,7 @@ def enumerate_table(rho: DensityMatrix, pairing: ObservablePairing) -> OutcomeTa
             f"({pairing.alice.dim}, {pairing.bob.dim})"
         )
     rho_rows = _as_lists(rho.matrix)
+    floor = -PSD_TOL * rho.dim
     entries = []
     total = 0.0
     for a_val, a_proj in zip(
@@ -90,11 +93,11 @@ def enumerate_table(rho: DensityMatrix, pairing: ObservablePairing) -> OutcomeTa
         ):
             joint = _naive_kron(a_rows, _as_lists(b_proj))
             prob = _naive_trace_product(rho_rows, joint).real
-            if prob < PROB_FLOOR:
+            if prob < floor:
                 raise OracleError(f"negative probability {prob:.3e}")
-            if abs(prob) < 1e-12:
-                prob = 0.0
             total += prob
+            if prob < PROB_CLAMP:
+                prob = 0.0
             entries.append((float(a_val), float(b_val), float(prob)))
     if abs(total - 1.0) >= NORMALIZATION_TOL:
         raise OracleError(f"table sums to {total:.12g}, not 1")

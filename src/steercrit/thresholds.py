@@ -4,33 +4,43 @@ A criterion's margin on the built-in families is positive at p = 0 and
 negative at p = 1; the threshold is the sign change. The finder pre-sweeps a
 coarse grid so a non-monotone margin is caught (reported as multi_crossing
 and resolved to the smallest crossing), then bisects deterministically.
+
+Engine modes evaluate a whole grid of p in one vectorised pass
+(families.family_moments); a single p is a grid of one, so a sweep row and
+the evaluator at the same p agree bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .closed_forms import MODE_CLOSED_FORM, closed_form_report
-from .criteria import CRITERION_HUR, CRITERION_SRUR, CriterionReport, evaluate_criterion
+from .closed_forms import MODE_CLOSED_FORM, closed_form_report, closed_form_sides
+from .criteria import (
+    CRITERION_HUR,
+    CRITERION_SRUR,
+    CriterionReport,
+    build_report,
+    criterion_sides,
+)
 from .families import (
     FAMILIES,
     FamilyError,
     family_descriptor,
     family_for_dimension,
-    family_observables,
-    family_state,
+    family_moments,
 )
-from .inference import MODE_CONDITIONAL_MEAN, MODE_LINEAR_G, MeasurementSettings
+from .inference import MODE_CONDITIONAL_MEAN, MODE_LINEAR_G
 
 __all__ = [
     "ThresholdError",
     "SweepRow",
     "SweepResult",
     "ThresholdResult",
+    "MAX_SWEEP_STEPS",
     "resolve_family",
     "family_evaluator",
     "sweep",
@@ -41,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# a sweep holds every grid point's tables at once
+MAX_SWEEP_STEPS = 1_000_000
 _BISECT_MAX_ITER = 60
 _PRE_SWEEP_POINTS = 32
 
@@ -95,31 +107,46 @@ def resolve_family(family: str, d: int | None = None) -> str:
     raise FamilyError(f"unknown family {family!r}")
 
 
+def _check_config(criterion: str, mode: str) -> None:
+    if criterion not in CRITERIA:
+        raise FamilyError(f"unknown criterion {criterion!r}")
+    if mode not in MODES:
+        raise FamilyError(f"unknown mode {mode!r}")
+
+
+def _family_sides(family: str, criterion: str, mode: str) -> Callable:
+    """p values -> (lhs, rhs) arrays for one family/criterion/mode."""
+    _check_config(criterion, mode)
+    if mode == MODE_CLOSED_FORM:
+
+        def closed_sides(ps):
+            sides = [closed_form_sides(family, p, criterion)[1:] for p in ps]
+            return np.array([lhs for lhs, _ in sides]), np.array([rhs for _, rhs in sides])
+
+        return closed_sides
+    moments_at = family_moments(family)
+    return lambda ps: criterion_sides(moments_at(ps), criterion, mode)
+
+
 def family_evaluator(
     family: str, criterion: str = CRITERION_SRUR, mode: str = MODE_LINEAR_G
 ) -> Callable[[float], CriterionReport]:
     """p -> CriterionReport for one family/criterion/mode combination.
 
-    Engine modes build the measurement settings once up front; everything
-    that depends on p is recomputed per call, so the evaluator is pure.
+    Engine modes compile the family's tables once up front and evaluate each
+    p as a batch of one, so the evaluator is pure.
     """
-    if criterion not in CRITERIA:
-        raise FamilyError(f"unknown criterion {criterion!r}")
-    if mode not in MODES:
-        raise FamilyError(f"unknown mode {mode!r}")
+    _check_config(criterion, mode)
     if mode == MODE_CLOSED_FORM:
         return lambda p: closed_form_report(family, p, criterion)
-
-    b1, b2 = family_observables(family)
-    settings = MeasurementSettings.build(b1, b2)
+    moments_at = family_moments(family)
 
     def evaluate(p: float) -> CriterionReport:
-        return evaluate_criterion(
-            family_state(family, p),
-            mode=mode,
-            criterion=criterion,
-            settings=settings,
-            state_descriptor=family_descriptor(family, p),
+        batch = moments_at([p])
+        lhs, rhs = criterion_sides(batch, criterion, mode)
+        return build_report(
+            criterion, mode, float(lhs[0]), float(rhs[0]), batch.row(0),
+            family_descriptor(family, p),
         )
 
     return evaluate
@@ -135,51 +162,45 @@ def sweep(
     steps: int = 101,
     jobs: int = 1,
 ) -> SweepResult:
-    """Evaluate the criterion on a uniform inclusive grid of p values."""
+    """Evaluate the criterion on a uniform inclusive grid of p values.
+
+    jobs is validated and otherwise ignored: the grid is evaluated in one
+    vectorised single-threaded pass, so the output never depends on it.
+    """
     if not (0.0 <= p_start < p_end <= 1.0):
         raise FamilyError(
             f"need 0 <= p_start < p_end <= 1, got [{p_start}, {p_end}]"
         )
-    if int(steps) != steps or steps < 2:
-        raise FamilyError(f"steps must be an integer >= 2, got {steps}")
+    if int(steps) != steps or not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise FamilyError(
+            f"steps must be an integer in [2, {MAX_SWEEP_STEPS}], got {steps}"
+        )
     if int(jobs) != jobs or jobs < 1:
         raise FamilyError(f"jobs must be an integer >= 1, got {jobs}")
-    evaluate = family_evaluator(resolve_family(family, d), criterion, mode)
+    sides = _family_sides(resolve_family(family, d), criterion, mode)
     grid = np.linspace(p_start, p_end, int(steps))
-
-    def row(p: float) -> SweepRow:
-        rep = evaluate(float(p))
-        return SweepRow(float(p), rep.lhs, rep.rhs, rep.margin, rep.violated)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            rows = tuple(pool.map(row, grid))  # map preserves p order
-    else:
-        rows = tuple(row(p) for p in grid)
-    return SweepResult(rows)
+    lhs, rhs = sides(grid)
+    margin = lhs - rhs
+    return SweepResult(tuple(
+        SweepRow(p, left, right, m, m < 0.0)
+        for p, left, right, m in zip(
+            grid.tolist(), lhs.tolist(), rhs.tolist(), margin.tolist()
+        )
+    ))
 
 
-def bisect_threshold(
+def _bisect(
     margin_fn: Callable[[float], float],
-    tol: float = DEFAULT_TOL,
-    pre_sweep_points: int = _PRE_SWEEP_POINTS,
+    grid_margins: Callable[[np.ndarray], list],
+    tol: float,
+    pre_sweep_points: int,
 ) -> ThresholdResult:
-    """Locate the crossing of an arbitrary margin function on [0, 1].
-
-    Requires margin(0) > 0 > margin(1). Multiple sign changes on the coarse
-    grid are flagged and the smallest crossing is refined.
-    """
-    if tol <= 0.0:
-        raise ThresholdError(f"tolerance must be positive, got {tol}")
-    evaluations = 0
-
-    def margin(p: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return float(margin_fn(p))
-
+    """Pre-sweep with grid_margins, then bisect the first crossing with margin_fn."""
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise ThresholdError(f"tolerance must be positive and finite, got {tol}")
     grid = np.linspace(0.0, 1.0, pre_sweep_points)
-    margins = [margin(float(p)) for p in grid]
+    margins = grid_margins(grid)
+    evaluations = len(margins)
     if not margins[0] > 0.0:
         raise ThresholdError(
             f"margin at p=0 is {margins[0]:.6g}; the criterion is already "
@@ -201,18 +222,37 @@ def bisect_threshold(
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
+        evaluations += 1
+        if margin_fn(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     p_star = 0.5 * (lo + hi)
-    margin_at_p_star = margin(p_star)
+    evaluations += 1
     return ThresholdResult(
         p_star=p_star,
         bracket=(lo, hi),
         evaluations=evaluations,
-        margin_at_p_star=margin_at_p_star,
+        margin_at_p_star=margin_fn(p_star),
         multi_crossing=multi,
+    )
+
+
+def bisect_threshold(
+    margin_fn: Callable[[float], float],
+    tol: float = DEFAULT_TOL,
+    pre_sweep_points: int = _PRE_SWEEP_POINTS,
+) -> ThresholdResult:
+    """Locate the crossing of an arbitrary margin function on [0, 1].
+
+    Requires margin(0) > 0 > margin(1). Multiple sign changes on the coarse
+    grid are flagged and the smallest crossing is refined.
+    """
+    return _bisect(
+        lambda p: float(margin_fn(p)),
+        lambda grid: [float(margin_fn(float(p))) for p in grid],
+        tol,
+        pre_sweep_points,
     )
 
 
@@ -223,9 +263,22 @@ def find_threshold(
     mode: str = MODE_LINEAR_G,
     tol: float = DEFAULT_TOL,
 ) -> ThresholdResult:
-    """Bisect the violation threshold of a built-in family."""
-    evaluate = family_evaluator(resolve_family(family, d), criterion, mode)
-    return bisect_threshold(lambda p: evaluate(p).margin, tol=tol)
+    """Bisect the violation threshold of a built-in family.
+
+    The pre-sweep grid is evaluated in one batched call.
+    """
+    sides = _family_sides(resolve_family(family, d), criterion, mode)
+
+    def margins(ps) -> np.ndarray:
+        lhs, rhs = sides(ps)
+        return lhs - rhs
+
+    return _bisect(
+        lambda p: float(margins([p])[0]),
+        lambda grid: margins(grid).tolist(),
+        tol,
+        _PRE_SWEEP_POINTS,
+    )
 
 
 def sweep_csv_text(result: SweepResult) -> str:

@@ -9,7 +9,9 @@ import pytest
 
 import steercrit.cli
 from steercrit import (
+    DensityMatrix,
     IsotropicParams,
+    Observable,
     ThresholdError,
     evaluate_srur,
     family_observables,
@@ -262,13 +264,92 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "--out", str(tmp_path / "s.csv")),
         ("sweep", "--d", "2", "--steps", "1", "--out", str(tmp_path / "s.csv")),
         ("sweep", "--d", "2", "--jobs", "0", "--out", str(tmp_path / "s.csv")),
+        ("sweep", "--d", "2", "--steps", "1000001", "--out", str(tmp_path / "s.csv")),
         ("threshold", "--d", "2", "--tol", "0"),
+        ("threshold", "--d", "2", "--tol", "nan"),
+        ("threshold", "--d", "2", "--tol", "inf"),
         ("threshold",),  # missing --d
     ]
     for argv in cases:
         rc, _, err = run(capsys, *argv)
         assert rc == 2, argv
         assert "error:" in err, argv
+
+
+def _observable_json(label, matrix):
+    return observable_to_json(Observable(label, np.asarray(matrix, dtype=complex)))
+
+
+def _edge_state_files(tmp_path, d):
+    """A diagonal state at the PSD tolerance edge, with two observables.
+
+    d = 2: diag(0.5, 0.25, 0.25 + 5e-11, -5e-11) measured with (Sz, Sx).
+    d = 4: -5e-11 on the four basis states |ij>, i, j in {2, 3}, measured
+    with a doubly degenerate B1, so one table cell sums all four: -2e-10,
+    below -PSD_TOL but above -PSD_TOL * D.
+    """
+    if d == 2:
+        diag = [0.5, 0.25, 0.25 + 5e-11, -5e-11]
+        obs = [observable_to_json(spin_half("z")), observable_to_json(spin_half("x"))]
+    else:
+        negative = {10, 11, 14, 15}
+        diag = [-5e-11 if k in negative else (1.0 + 2e-10) / 12 for k in range(16)]
+        shift = np.diag(np.ones(3), 1)
+        obs = [
+            _observable_json("P", np.diag([1.0, 1.0, -1.0, -1.0]) / 2),
+            _observable_json("X", shift + shift.T),
+        ]
+    state_path = tmp_path / "edge.json"
+    obs_path = tmp_path / "edge_obs.json"
+    state_path.write_text(json.dumps(
+        state_to_json(DensityMatrix(np.diag(diag).astype(complex), dims=(d, d)))
+    ))
+    obs_path.write_text(json.dumps(obs))
+    return state_path, obs_path
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_state_at_psd_tolerance_edge_evaluates(tmp_path, capsys, d):
+    state_path, obs_path = _edge_state_files(tmp_path, d)
+    rc, out, _ = run(capsys, "validate-state", "--state", str(state_path))
+    assert rc == 0
+    assert json.loads(out)["min_eigenvalue"] == -5e-11
+    evaluate = ("evaluate", "--family", "file",
+                "--state", str(state_path), "--observables", str(obs_path))
+    rc, out, err = run(capsys, *evaluate)
+    assert rc == 0, err
+    report = json.loads(out)
+    out_path = tmp_path / "audit.json"
+    rc, _, err = run(capsys, *evaluate, "--audit", "--out", str(out_path))
+    assert rc == 0, err
+    bundle = json.loads(out_path.read_text())
+    assert bundle["report"] == report
+    assert bundle["engine_oracle_max_abs_diff"] < 1e-10
+
+
+def test_audit_uses_the_pairing_file(tmp_path, capsys):
+    state_path, obs_path = _write_family_files(tmp_path)
+    pairing_path = tmp_path / "alice.json"
+    # Bob's (Sx, Sz) inferred from Alice's (Sz, Sx): uncorrelated on the
+    # isotropic state, so every inferred variance keeps its p = 0 value
+    pairing_path.write_text(json.dumps([
+        {"label": "A1", "matrix": observable_to_json(spin_half("z"))["matrix"]},
+        {"label": "A2", "matrix": observable_to_json(spin_half("x"))["matrix"]},
+    ]))
+    out_path = tmp_path / "audit.json"
+    rc, out, _ = run(
+        capsys, "evaluate", "--family", "file",
+        "--state", str(state_path), "--observables", str(obs_path),
+        "--pairing", "file", "--pairing-file", str(pairing_path),
+        "--audit", "--out", str(out_path),
+    )
+    assert rc == 0
+    report = json.loads(out)
+    bundle = json.loads(out_path.read_text())
+    assert bundle["engine_moments"] == report["moments"]
+    assert bundle["engine_oracle_max_abs_diff"] < 1e-10
+    assert bundle["oracle"]["moments"]["var_inf_b1"] == pytest.approx(0.25, abs=1e-12)
+    assert report["moments"]["var_inf_b1"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_invalid_state_file_exits_3(tmp_path, capsys):

@@ -34,7 +34,9 @@ from steercrit import (
     inferred_variance_min,
     isotropic,
     joint_distribution,
+    joint_tables,
     max_entangled,
+    moment_batch,
     qutrit_triplet,
     reid_g,
     spin_half,
@@ -240,6 +242,23 @@ def test_full_moments_as_dict_field_names():
     rho = isotropic(IsotropicParams(d=2, p=0.5))
     m = full_moments(rho, spin_half("x"), spin_half("z"))
     assert tuple(m.as_dict()) == InferredMoments.NUMERIC_FIELDS
+
+
+def test_moment_batch_reports_first_failing_state():
+    settings_ = MeasurementSettings.build(spin_half("x"), spin_half("z"))
+
+    def below_zero(eps):
+        # Sz (x) Sz cell (-1/2, -1/2) is -eps
+        return np.diag([0.5, 0.5 + eps, 0.0, -eps]).astype(complex)
+
+    good = isotropic(IsotropicParams(d=2, p=0.5)).matrix
+    raw = joint_tables(settings_, np.stack([good, below_zero(1e-3), below_zero(2e-3)]))
+    with pytest.raises(InferenceError, match="negative joint probability -1.000e-03"):
+        moment_batch(settings_, raw, 4)
+    batch = moment_batch(settings_, joint_tables(settings_, good[None]), 4)
+    assert batch.row(0).as_dict() == full_moments(
+        DensityMatrix(good, dims=(2, 2)), settings=settings_
+    ).as_dict()
 
 
 def test_moment_record_rejects_inverted_variances():

@@ -14,14 +14,24 @@ from steercrit import (
     FamilyError,
     ThresholdError,
     bisect_threshold,
+    family_observables,
+    family_state,
     find_threshold,
+    oracle_moments,
     sweep,
     sweep_csv_text,
     write_sweep_csv,
 )
-from steercrit.thresholds import family_evaluator, resolve_family
+from steercrit.thresholds import MAX_SWEEP_STEPS, family_evaluator, resolve_family
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+
+ENGINE_CONFIGS = [
+    (d, mode, criterion)
+    for d in (2, 3)
+    for mode in ("linear-g", "conditional-mean")
+    for criterion in ("srur", "hur")
+]
 
 
 def test_resolve_family():
@@ -52,14 +62,34 @@ def test_sweep_two_point_grid():
 
 
 def test_sweep_rows_match_evaluator():
-    evaluator = family_evaluator(FAMILY_QUBIT_XZ)
-    result = sweep("isotropic", 2, steps=7)
-    for row in result.rows:
-        report = evaluator(row.p)
-        assert row.lhs == report.lhs
-        assert row.rhs == report.rhs
-        assert row.margin == report.margin
-        assert row.violated == report.violated
+    # a sweep is one batch, the evaluator a batch of one: rows must not
+    # depend on the batch size
+    for d, mode, criterion in ENGINE_CONFIGS:
+        evaluator = family_evaluator(resolve_family("isotropic", d), criterion, mode)
+        result = sweep("isotropic", d, criterion=criterion, mode=mode, steps=101)
+        for row in result.rows:
+            report = evaluator(row.p)
+            assert row.lhs == report.lhs
+            assert row.rhs == report.rhs
+            assert row.margin == report.margin
+            assert row.violated == report.violated
+
+
+@pytest.mark.parametrize("d,mode,criterion", ENGINE_CONFIGS)
+def test_sweep_margins_match_oracle(d, mode, criterion):
+    family = resolve_family("isotropic", d)
+    b1, b2 = family_observables(family)
+    rows = sweep("isotropic", d, criterion=criterion, mode=mode, steps=101).rows
+    for k in (0, 29, 62, 100):
+        m = oracle_moments(family_state(family, rows[k].p), b1, b2)
+        if mode == "linear-g":
+            lhs = m["var_inf_b1"] * m["var_inf_b2"]
+        else:
+            lhs = m["var_min_b1"] * m["var_min_b2"]
+        rhs = 0.25 * m["abs_mean_inf_commutator"] ** 2
+        if criterion == "srur":
+            rhs += (0.5 * m["mean_inf_anticommutator"] - m["product_of_means_inf"]) ** 2
+        assert abs(rows[k].margin - (lhs - rhs)) < 1e-12
 
 
 def test_sweep_margin_strictly_decreasing_on_both_families():
@@ -103,6 +133,8 @@ def test_sweep_validates_arguments():
         sweep("isotropic", 2, p_start=-0.1)
     with pytest.raises(FamilyError):
         sweep("isotropic", 2, steps=1)
+    with pytest.raises(FamilyError):
+        sweep("isotropic", 2, steps=MAX_SWEEP_STEPS + 1)
     with pytest.raises(FamilyError):
         sweep("isotropic", 2, jobs=0)
     with pytest.raises(FamilyError):
@@ -157,6 +189,19 @@ def test_bisect_requires_sign_change():
         bisect_threshold(lambda p: p - 2.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bisect_rejects_bad_tolerance(tol):
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return 0.5 - p
+
+    with pytest.raises(ThresholdError):
+        bisect_threshold(f, tol=tol)
+    assert calls == []
+
+
 def test_engine_thresholds_hit_golden_ratio_root():
     for d in (2, 3):
         for mode in ("linear-g", "conditional-mean"):
@@ -186,5 +231,6 @@ def test_find_threshold_rejects_unknowns():
         find_threshold("isotropic", 5)
     with pytest.raises(FamilyError):
         find_threshold("isotropic", 2, mode="unknown")
-    with pytest.raises(ThresholdError):
-        find_threshold("isotropic", 2, tol=-1.0)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ThresholdError):
+            find_threshold("isotropic", 2, tol=tol)

@@ -6,13 +6,14 @@ A criterion is violated when the product of inferred variances drops below
 the bound built from the inferred commutator and covariance terms; any
 violation certifies steering of the measured party's state.
 
-Layers, bottom up: exact Hermitian linear algebra (`linalg`), density
-matrices and the isotropic family (`states`), measurement observables and
-the Alice/Bob pairing rules (`observables`), inferred-moment assembly
-(`inference`), the criteria themselves (`criteria`), published closed-form
-expressions for the two reference families (`closed_forms`), sweep plus
-threshold search (`thresholds`), a brute-force probability-table oracle
-used for cross-validation (`oracle`), and the CLI (`cli`).
+Layers, bottom up: the one set of numerical tolerances (`tolerances`),
+exact Hermitian linear algebra (`linalg`), density matrices and the
+isotropic family (`states`), measurement observables and the Alice/Bob
+pairing rules (`observables`), inferred-moment assembly (`inference`), the
+criteria themselves (`criteria`), published closed-form expressions for the
+two reference families (`closed_forms`), sweep plus threshold search
+(`thresholds`), a brute-force probability-table oracle used for
+cross-validation (`oracle`), and the CLI (`cli`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .closed_forms import (
     DIFF_SLOTS,
     MODE_CLOSED_FORM,
     ClosedFormError,
-    ClosedFormMoments,
     DiffRow,
     closed_form_report,
     closed_forms_for,
@@ -62,33 +62,19 @@ from .inference import (
     JointDistribution,
     MeasurementSettings,
     MomentBatch,
-    conditional_mean,
     expectation,
     full_moments,
-    inferred_abs_mean,
-    inferred_mean,
-    inferred_product_of_means,
-    inferred_sq_mean,
-    inferred_variance_linear,
-    inferred_variance_min,
     joint_distribution,
     joint_tables,
     moment_batch,
-    reid_g,
 )
 from .linalg import (
     LinalgError,
     SpectralDecomposition,
-    dagger,
     eig_hermitian,
     identity,
     kron,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_sub,
     partial_trace,
-    trace,
 )
 from .observables import (
     Observable,
@@ -147,7 +133,6 @@ __all__ = [
     "MODE_CONDITIONAL_MEAN",
     "MODE_LINEAR_G",
     "ClosedFormError",
-    "ClosedFormMoments",
     "CriterionReport",
     "DensityMatrix",
     "DiffRow",
@@ -175,8 +160,6 @@ __all__ = [
     "closed_form_report",
     "closed_forms_for",
     "commutator_observable",
-    "conditional_mean",
-    "dagger",
     "default_pairing",
     "diff_rows",
     "difference_observable",
@@ -197,20 +180,10 @@ __all__ = [
     "full_moments",
     "hur_rhs",
     "identity",
-    "inferred_abs_mean",
-    "inferred_mean",
-    "inferred_product_of_means",
-    "inferred_sq_mean",
-    "inferred_variance_linear",
-    "inferred_variance_min",
     "isotropic",
     "joint_distribution",
     "joint_tables",
     "kron",
-    "mat_add",
-    "mat_mul",
-    "mat_scale",
-    "mat_sub",
     "max_entangled",
     "moment_batch",
     "observable_from_json",
@@ -220,7 +193,6 @@ __all__ = [
     "qubit_closed_forms",
     "qutrit_closed_forms",
     "qutrit_triplet",
-    "reid_g",
     "spin_half",
     "srur_rhs",
     "state_diagnostics",
@@ -229,7 +201,6 @@ __all__ = [
     "sweep",
     "sweep_csv_text",
     "table_moment",
-    "trace",
     "uncertainty_terms",
     "validate",
     "variance",

@@ -14,6 +14,7 @@ so failed runs never leave partial files behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,19 +26,14 @@ from .closed_forms import (
     diff_rows,
     write_diff_csv,
 )
-from .criteria import CRITERION_HUR, CRITERION_SRUR, evaluate_criterion
+from .criteria import CRITERION_SRUR, evaluate_criterion
 from .families import (
     FamilyError,
     family_for_dimension,
     family_observables,
     family_state,
 )
-from .inference import (
-    MODE_CONDITIONAL_MEAN,
-    MODE_LINEAR_G,
-    InferenceError,
-    full_moments,
-)
+from .inference import MODE_LINEAR_G, InferenceError, full_moments
 from .linalg import LinalgError
 from .observables import (
     default_pairing,
@@ -45,13 +41,10 @@ from .observables import (
     observable_from_json,
 )
 from .oracle import OracleError, audit_dump
-from .states import (
-    InvalidStateError,
-    _matrix_from_json,
-    state_diagnostics,
-    state_from_json,
-)
+from .states import InvalidStateError, state_file_diagnostics, state_from_json
 from .thresholds import (
+    CRITERIA,
+    MODES,
     ThresholdError,
     family_evaluator,
     find_threshold,
@@ -60,10 +53,6 @@ from .thresholds import (
 )
 
 __all__ = ["main"]
-
-_ENGINE_MODES = (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN)
-_ALL_MODES = _ENGINE_MODES + (MODE_CLOSED_FORM,)
-_CRITERIA = (CRITERION_SRUR, CRITERION_HUR)
 
 
 class _ConfigError(Exception):
@@ -82,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=choices, default="isotropic")
         p.add_argument("--d", type=int, default=None,
                        help="local dimension of the isotropic family (2 or 3)")
-        p.add_argument("--criterion", choices=_CRITERIA, default=CRITERION_SRUR)
-        p.add_argument("--mode", choices=_ALL_MODES, default=MODE_LINEAR_G)
+        p.add_argument("--criterion", choices=CRITERIA, default=CRITERION_SRUR)
+        p.add_argument("--mode", choices=MODES, default=MODE_LINEAR_G)
 
     ev = sub.add_parser("evaluate", help="evaluate one criterion at one p")
     add_family_flags(ev, with_file=True)
@@ -191,11 +180,8 @@ def _cmd_evaluate(args) -> int:
         if args.pairing != "transpose" or args.pairing_file is not None:
             raise _ConfigError("the isotropic families use the transpose pairing")
         report = family_evaluator(family, args.criterion, args.mode)(p)
-        rho = family_state(family, p)
-        b1, b2 = family_observables(family)
-        rule = default_pairing
-        closed_diff = diff_rows(family, p) if args.audit else None
     else:
+        family = None
         if args.d is not None:
             raise _ConfigError("--d applies to --family isotropic only")
         if args.p is not None:
@@ -223,15 +209,20 @@ def _cmd_evaluate(args) -> int:
             criterion=args.criterion,
             state_descriptor=f"file:{args.state}; observables=({b1.label},{b2.label})",
         )
-        closed_diff = None
 
     _print_json(report.to_json_dict())
 
     if args.audit:
+        if family is not None:
+            rho = family_state(family, p)
+            b1, b2 = family_observables(family)
+            rule = default_pairing
+        # closed-form reports carry closed-form moments; the engine runs once here
         if args.mode == MODE_CLOSED_FORM:
             engine = full_moments(rho, b1, b2, rule)
         else:
             engine = report.moments
+        closed_diff = diff_rows(family, p, engine) if family is not None else None
         oracle = audit_dump(rho, b1, b2, rule)
         diffs = [
             abs(engine.as_dict()[key] - val)
@@ -244,16 +235,7 @@ def _cmd_evaluate(args) -> int:
             "engine_oracle_max_abs_diff": max(diffs),
             "closed_form_diff": None
             if closed_diff is None
-            else [
-                {
-                    "p": row.p,
-                    "slot": row.slot,
-                    "engine_value": row.engine_value,
-                    "paper_value": row.paper_value,
-                    "abs_diff": row.abs_diff,
-                }
-                for row in closed_diff
-            ],
+            else [dataclasses.asdict(row) for row in closed_diff],
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(bundle, fh, indent=2)
@@ -266,14 +248,6 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     d = _check_isotropic_dim(args.d)
-    if not 0.0 <= args.p_start < args.p_end <= 1.0:
-        raise _ConfigError(
-            f"need 0 <= --p-start < --p-end <= 1, got [{args.p_start}, {args.p_end}]"
-        )
-    if args.steps < 2:
-        raise _ConfigError(f"--steps must be >= 2, got {args.steps}")
-    if args.jobs < 1:
-        raise _ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     result = sweep(
         "isotropic", d,
         criterion=args.criterion,
@@ -300,15 +274,10 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_validate_state(args) -> int:
-    obj = _load_json(args.state)
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise _ConfigError(f'{args.state} must hold a state object with "matrix"')
     try:
-        matrix = _matrix_from_json(obj["matrix"])
+        info = state_file_diagnostics(_load_json(args.state))
     except InvalidStateError as exc:
-        raise _ConfigError(str(exc)) from None
-    info = state_diagnostics(matrix)
-    info["dims"] = obj.get("dims")
+        raise _ConfigError(f"{args.state}: {exc}") from None
     _print_json(info)
     return 0 if info["valid"] else 1
 
@@ -325,10 +294,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FamilyError as exc:
+    except (_ConfigError, FamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ThresholdError as exc:

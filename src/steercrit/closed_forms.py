@@ -16,6 +16,12 @@ report surfaces the gap instead of hiding it. Known differences on file:
 The qubit commutator slot has no published closed form; it is set to
 (p / 2)^2, the value implied by -i[Sx, Sz] = -Sy under perfectly correlating
 pairing, which is the unique assignment reproducing the 0.56 crossing.
+
+The closed forms are InferredMoments records. Their var_min slots equal
+var_inf (the two estimators coincide on isotropic states, a fact the engine
+tests verify) and sq_mean_inf_b0 is filled by the polarization identity
+sq1 + sq2 - 2 * product, so each record is self-consistent with its product
+slot.
 """
 
 from __future__ import annotations
@@ -23,34 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .criteria import (
-    CRITERION_HUR,
-    CRITERION_SRUR,
-    CriterionReport,
-    build_report,
-    hur_rhs,
-    srur_rhs,
-)
-from .families import (
-    FAMILY_QUBIT_XZ,
-    FAMILY_QUTRIT_B1B2,
-    family_descriptor,
-    family_dimension,
-    family_observables,
-    family_state,
-)
-from .inference import InferredMoments, full_moments
+from .criteria import CRITERION_SRUR, CriterionReport, build_report, criterion_sides
+from .families import FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2, family_descriptor
+from .inference import MODE_LINEAR_G, InferredMoments
 
 __all__ = [
     "MODE_CLOSED_FORM",
     "ClosedFormError",
-    "ClosedFormMoments",
     "DiffRow",
     "DIFF_SLOTS",
     "qubit_closed_forms",
     "qutrit_closed_forms",
     "closed_forms_for",
-    "closed_form_sides",
     "closed_form_report",
     "diff_rows",
     "write_diff_csv",
@@ -63,48 +53,6 @@ class ClosedFormError(ValueError):
     """Unknown family or out-of-range parameter."""
 
 
-@dataclass(frozen=True)
-class ClosedFormMoments:
-    """The closed-form moment slots of one family, evaluated at one p.
-
-    var_min slots equal var_inf (the two estimators coincide on isotropic
-    states, a fact the engine tests verify) and sq_mean_inf_b0 is filled by
-    the polarization identity sq1 + sq2 - 2 * product so the record is
-    self-consistent with the product slot.
-    """
-
-    family: str
-    p: float
-    var_inf_b1: float
-    var_inf_b2: float
-    var_min_b1: float
-    var_min_b2: float
-    abs_mean_inf_commutator: float
-    mean_inf_anticommutator: float
-    sq_mean_inf_b1: float
-    sq_mean_inf_b2: float
-    sq_mean_inf_b0: float
-    product_of_means_inf: float
-    g1: float
-    g2: float
-
-    def to_moments(self) -> InferredMoments:
-        return InferredMoments(
-            var_inf_b1=self.var_inf_b1,
-            var_inf_b2=self.var_inf_b2,
-            var_min_b1=self.var_min_b1,
-            var_min_b2=self.var_min_b2,
-            abs_mean_inf_commutator=self.abs_mean_inf_commutator,
-            mean_inf_anticommutator=self.mean_inf_anticommutator,
-            sq_mean_inf_b1=self.sq_mean_inf_b1,
-            sq_mean_inf_b2=self.sq_mean_inf_b2,
-            sq_mean_inf_b0=self.sq_mean_inf_b0,
-            product_of_means_inf=self.product_of_means_inf,
-            g1=self.g1,
-            g2=self.g2,
-        )
-
-
 def _check_p(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
@@ -112,15 +60,13 @@ def _check_p(p: float) -> float:
     return p
 
 
-def qubit_closed_forms(p: float) -> ClosedFormMoments:
+def qubit_closed_forms(p: float) -> InferredMoments:
     """Closed forms for the qubit (Sx, Sz) pair on isotropic states."""
     p = _check_p(p)
     var = 0.25 * (1.0 - p * p)
     sq = 0.25 * p * p
     product = ((1.0 - 2.0 * math.sqrt(2.0)) * p * p - 1.0) / 16.0
-    return ClosedFormMoments(
-        family=FAMILY_QUBIT_XZ,
-        p=p,
+    return InferredMoments(
         var_inf_b1=var,
         var_inf_b2=var,
         var_min_b1=var,
@@ -136,16 +82,14 @@ def qubit_closed_forms(p: float) -> ClosedFormMoments:
     )
 
 
-def qutrit_closed_forms(p: float) -> ClosedFormMoments:
+def qutrit_closed_forms(p: float) -> InferredMoments:
     """Closed forms for the qutrit (B1, B2) pair on isotropic states."""
     p = _check_p(p)
     p2 = p * p
     sq1 = 2.0 * p2 / 27.0
     sq2 = p2 / 27.0
     product = -p2 / 36.0
-    return ClosedFormMoments(
-        family=FAMILY_QUTRIT_B1B2,
-        p=p,
+    return InferredMoments(
         var_inf_b1=(2.0 / 3.0) * (1.0 - p2),
         var_inf_b2=(1.0 / 3.0) * (1.0 - p2),
         var_min_b1=(2.0 / 3.0) * (1.0 - p2),
@@ -161,7 +105,7 @@ def qutrit_closed_forms(p: float) -> ClosedFormMoments:
     )
 
 
-def closed_forms_for(family: str, p: float) -> ClosedFormMoments:
+def closed_forms_for(family: str, p: float) -> InferredMoments:
     if family == FAMILY_QUBIT_XZ:
         return qubit_closed_forms(p)
     if family == FAMILY_QUTRIT_B1B2:
@@ -169,23 +113,15 @@ def closed_forms_for(family: str, p: float) -> ClosedFormMoments:
     raise ClosedFormError(f"no closed forms for family {family!r}")
 
 
-def closed_form_sides(
-    family: str, p: float, criterion: str = CRITERION_SRUR
-) -> tuple[InferredMoments, float, float]:
-    """(moments, lhs, rhs) of the criterion on closed-form moments."""
-    if criterion not in (CRITERION_SRUR, CRITERION_HUR):
-        raise ClosedFormError(f"unknown criterion {criterion!r}")
-    moments = closed_forms_for(family, p).to_moments()
-    lhs = moments.var_inf_b1 * moments.var_inf_b2
-    rhs = srur_rhs(moments) if criterion == CRITERION_SRUR else hur_rhs(moments)
-    return moments, lhs, rhs
-
-
 def closed_form_report(
     family: str, p: float, criterion: str = CRITERION_SRUR
 ) -> CriterionReport:
-    """Assemble the criterion from closed-form moments, mode-tagged."""
-    moments, lhs, rhs = closed_form_sides(family, p, criterion)
+    """Assemble the criterion from closed-form moments, mode-tagged.
+
+    The closed-form lhs is the var_inf product, the linear-g lhs.
+    """
+    moments = closed_forms_for(family, p)
+    lhs, rhs = criterion_sides(moments, criterion, MODE_LINEAR_G)
     return build_report(
         criterion, MODE_CLOSED_FORM, lhs, rhs, moments, family_descriptor(family, p)
     )
@@ -213,16 +149,13 @@ class DiffRow:
     abs_diff: float
 
 
-def diff_rows(family: str, p: float) -> list[DiffRow]:
+def diff_rows(family: str, p: float, engine: InferredMoments) -> list[DiffRow]:
     """Engine-vs-closed-form comparison, one row per stated slot.
 
-    The engine values come from the first-principles inference on the actual
-    isotropic state; no slot is asserted equal, the report only measures.
+    engine holds the first-principles moments of the family's isotropic state
+    at p; no slot is asserted equal, the report only measures.
     """
-    family_dimension(family)
-    b1, b2 = family_observables(family)
-    engine = full_moments(family_state(family, p), b1, b2)
-    closed = closed_forms_for(family, p).to_moments()
+    closed = closed_forms_for(family, p)
     rows = []
     for slot in DIFF_SLOTS:
         ev = float(getattr(engine, slot))

@@ -51,8 +51,6 @@ __all__ = [
 CRITERION_SRUR = "srur"
 CRITERION_HUR = "hur"
 
-_ENGINE_MODES = (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN)
-
 
 @dataclass(frozen=True, eq=False)
 class CriterionReport:
@@ -146,8 +144,6 @@ def evaluate_criterion(
     Accepts either (b1, b2, pairing_rule) or a prebuilt MeasurementSettings
     (useful in sweeps, where the settings are p-independent).
     """
-    if mode not in _ENGINE_MODES:
-        raise InferenceError(f"unknown engine mode {mode!r}")
     moments = full_moments(rho, b1, b2, pairing_rule, settings=settings)
     if state_descriptor is None:
         setting = settings.pair_b1.bob.label if settings is not None else b1.label

@@ -30,7 +30,14 @@ from .observables import (
     default_pairing,
     difference_observable,
 )
-from .states import PSD_TOL, DensityMatrix
+from .states import DensityMatrix
+from .tolerances import (
+    ALICE_POWER_FLOOR,
+    NORMALIZATION_TOL,
+    PROB_CLAMP,
+    PSD_TOL,
+    VARIANCE_ORDER_TOL,
+)
 
 __all__ = [
     "InferenceError",
@@ -43,28 +50,12 @@ __all__ = [
     "joint_distribution",
     "joint_tables",
     "moment_batch",
-    "conditional_mean",
-    "reid_g",
-    "inferred_variance_linear",
-    "inferred_variance_min",
-    "inferred_abs_mean",
-    "inferred_mean",
-    "inferred_sq_mean",
-    "inferred_product_of_means",
     "full_moments",
     "expectation",
 ]
 
 MODE_LINEAR_G = "linear-g"
 MODE_CONDITIONAL_MEAN = "conditional-mean"
-
-# A state that validate() accepts has eigenvalues >= -PSD_TOL, so a table
-# cell tr[rho Pi] of a projector of rank r <= D is >= -PSD_TOL * D. Cells
-# below that bound fail; cells between it and PROB_CLAMP are clamped to 0.
-PROB_CLAMP = 1e-12
-NORMALIZATION_TOL = 1e-10
-VARIANCE_ORDER_TOL = 1e-10
-ALICE_POWER_FLOOR = 1e-12
 
 
 class InferenceError(ValueError):
@@ -78,19 +69,6 @@ class JointDistribution:
     alice_outcomes: tuple[float, ...]
     bob_outcomes: tuple[float, ...]
     probs: np.ndarray
-
-    def alice_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def bob_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
-    def to_json(self) -> dict:
-        return {
-            "alice_outcomes": [float(a) for a in self.alice_outcomes],
-            "bob_outcomes": [float(b) for b in self.bob_outcomes],
-            "probs": [[float(p) for p in row] for row in self.probs],
-        }
 
 
 def _check_state_matches(rho: DensityMatrix, pairing: ObservablePairing) -> None:
@@ -205,23 +183,6 @@ def joint_distribution(rho: DensityMatrix, pairing: ObservablePairing) -> JointD
     return JointDistribution(pairing.alice.outcomes, pairing.bob.outcomes, _clamp(raw)[0])
 
 
-def conditional_mean(jd: JointDistribution, given_alice_outcome: float) -> float:
-    """<B | A = a>, the mean of Bob's outcome given Alice's."""
-    outcomes = np.asarray(jd.alice_outcomes)
-    idx = int(np.argmin(np.abs(outcomes - given_alice_outcome)))
-    if abs(outcomes[idx] - given_alice_outcome) > 1e-9:
-        raise InferenceError(
-            f"{given_alice_outcome!r} is not an Alice outcome of this table"
-        )
-    row = jd.probs[idx]
-    p_a = row.sum()
-    if p_a <= 0.0:
-        raise InferenceError(
-            f"cannot condition on zero-probability outcome {given_alice_outcome!r}"
-        )
-    return float(row @ np.asarray(jd.bob_outcomes) / p_a)
-
-
 def expectation(rho: DensityMatrix, matrix: np.ndarray) -> float:
     """Real part of tr[rho M] for a Hermitian M on the full space."""
     if matrix.shape[0] != rho.dim:
@@ -229,80 +190,6 @@ def expectation(rho: DensityMatrix, matrix: np.ndarray) -> float:
             f"operator dimension {matrix.shape[0]} does not match state {rho.dim}"
         )
     return float(np.einsum("ij,ji->", rho.matrix, matrix).real)
-
-
-def _sums(jd: JointDistribution) -> tuple:
-    return _conditional_sums(jd.probs[None], jd.bob_outcomes)
-
-
-def _linear_checked(rho: DensityMatrix, pairing: ObservablePairing) -> tuple:
-    jd = joint_distribution(rho, pairing)
-    mean_a2, g, var = _linear(*_sums(jd), jd.alice_outcomes)
-    _raise_first([_alice_power_check(mean_a2)])
-    return float(g[0]), float(var[0])
-
-
-def reid_g(rho: DensityMatrix, pairing: ObservablePairing) -> float:
-    """g = <A tensor B> / <A^2>, the optimal linear-estimate slope."""
-    return _linear_checked(rho, pairing)[0]
-
-
-def inferred_variance_linear(rho: DensityMatrix, pairing: ObservablePairing) -> float:
-    """<(B - g A)^2> = <B^2> - 2 g <A tensor B> + g^2 <A^2>."""
-    return _linear_checked(rho, pairing)[1]
-
-
-def inferred_variance_min(jd: JointDistribution) -> float:
-    """sum_a P(a) Var(B | a), the estimator-optimal inferred variance.
-
-    Alice outcomes with zero probability contribute nothing.
-    """
-    return float(_var_min(*_sums(jd))[0])
-
-
-def inferred_abs_mean(rho: DensityMatrix, pairing: ObservablePairing) -> float:
-    """sum_a P(a) |<B>_a|; used for the commutator observable."""
-    _, m1, _ = _sums(joint_distribution(rho, pairing))
-    return float(np.abs(m1).sum())
-
-
-def inferred_mean(rho: DensityMatrix, pairing: ObservablePairing) -> float:
-    """sum_a P(a) <B>_a (no absolute value); used for the anticommutator."""
-    _, m1, _ = _sums(joint_distribution(rho, pairing))
-    return float(m1.sum())
-
-
-def inferred_sq_mean(rho: DensityMatrix, pairing: ObservablePairing) -> float:
-    """sum_a P(a) <B>_a^2."""
-    p_a, m1, _ = _sums(joint_distribution(rho, pairing))
-    return float(_sq_mean(p_a, m1)[0])
-
-
-def _check_difference(pair1, pair2, pair0) -> None:
-    db = pair0.bob.matrix - (pair1.bob.matrix - pair2.bob.matrix)
-    da = pair0.alice.matrix - (pair1.alice.matrix - pair2.alice.matrix)
-    if max(np.max(np.abs(db)), np.max(np.abs(da))) > 1e-12:
-        raise InferenceError(
-            "difference pairing is not B1 - B2 / A1 - A2 of the given pairings"
-        )
-
-
-def inferred_product_of_means(
-    rho: DensityMatrix,
-    pairing_b1: ObservablePairing,
-    pairing_b2: ObservablePairing,
-    pairing_b0: ObservablePairing,
-) -> float:
-    """(<B1><B2>)_inf by polarization over the three settings.
-
-    2 (<B1><B2>)_inf = (<B1>^2)_inf + (<B2>^2)_inf - (<B0>^2)_inf with
-    B0 = B1 - B2 measured as its own setting (and A0 = A1 - A2).
-    """
-    _check_difference(pairing_b1, pairing_b2, pairing_b0)
-    sq1 = inferred_sq_mean(rho, pairing_b1)
-    sq2 = inferred_sq_mean(rho, pairing_b2)
-    sq0 = inferred_sq_mean(rho, pairing_b0)
-    return 0.5 * (sq1 + sq2 - sq0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,28 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import DEGENERACY_TOL, HERMITICITY_TOL
+
 __all__ = [
     "LinalgError",
     "SpectralDecomposition",
-    "HERMITICITY_TOL",
-    "DEGENERACY_TOL",
     "as_matrix",
     "identity",
-    "mat_add",
-    "mat_sub",
-    "mat_mul",
-    "mat_scale",
-    "dagger",
     "kron",
-    "trace",
     "max_abs",
-    "is_hermitian",
     "partial_trace",
     "eig_hermitian",
 ]
-
-HERMITICITY_TOL = 1e-10
-DEGENERACY_TOL = 1e-8
 
 _JACOBI_MAX_SWEEPS = 100
 _JACOBI_OFFDIAG_TOL = 1e-14
@@ -58,55 +48,14 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise LinalgError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def mat_add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b)
-    return a + b
-
-
-def mat_sub(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b)
-    return a - b
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b)
-    return a @ b
-
-
-def mat_scale(a, scalar: complex) -> np.ndarray:
-    return as_matrix(a) * complex(scalar)
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Tensor product; result dimension is dim(a) * dim(b)."""
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def trace(a) -> complex:
-    return complex(np.trace(as_matrix(a)))
-
-
 def max_abs(a: np.ndarray) -> float:
     """Largest absolute entry, the norm used for all validation thresholds."""
     return float(np.max(np.abs(a)))
-
-
-def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    m = as_matrix(a)
-    return max_abs(m - m.conj().T) < tol
 
 
 def partial_trace(a, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -143,12 +92,6 @@ class SpectralDecomposition:
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for val, proj in zip(self.eigenvalues, self.projectors):
-            out = out + val * proj
-        return out
 
 
 def _max_offdiag(a: np.ndarray) -> float:
@@ -215,10 +158,10 @@ def _jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.real(np.diag(a)), v
 
 
-def eig_hermitian(a, tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
+def eig_hermitian(a) -> SpectralDecomposition:
     """Spectral decomposition with near-degenerate eigenvalues merged.
 
-    Eigenvalues closer than ``tol`` are treated as one measurement outcome and
+    Eigenvalues closer than DEGENERACY_TOL are treated as one measurement outcome and
     share a single projector; the reported value is the group mean. Raises
     LinalgError for non-Hermitian input or on failure to converge.
     """
@@ -234,7 +177,7 @@ def eig_hermitian(a, tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
 
     groups: list[list[int]] = [[0]]
     for i in range(1, evals.size):
-        if evals[groups[-1][-1]] - evals[i] < tol:
+        if evals[groups[-1][-1]] - evals[i] < DEGENERACY_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])

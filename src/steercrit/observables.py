@@ -9,7 +9,7 @@ Bob operator with its entrywise transpose, the unique choice that maximizes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +22,7 @@ from .linalg import (
     kron,
     max_abs,
 )
+from .tolerances import HERMITICITY_TOL
 
 __all__ = [
     "Observable",
@@ -37,8 +38,6 @@ __all__ = [
     "observable_from_json",
 ]
 
-HERMITICITY_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -46,7 +45,6 @@ class Observable:
 
     label: str
     matrix: np.ndarray
-    merge_tol: float = field(default=1e-8, repr=False)
 
     def __post_init__(self) -> None:
         m = as_matrix(self.matrix)
@@ -68,7 +66,7 @@ class Observable:
     def spectral(self) -> SpectralDecomposition:
         # cached_property writes straight into __dict__, so concurrent first
         # access can at worst recompute the same value (single-assignment)
-        return eig_hermitian(self.matrix, self.merge_tol)
+        return eig_hermitian(self.matrix)
 
     @property
     def outcomes(self) -> tuple[float, ...]:
@@ -76,7 +74,7 @@ class Observable:
 
     def transpose(self) -> "Observable":
         """Entrywise transpose (no conjugation); Hermitian iff self is."""
-        return Observable(f"{self.label}^T", self.matrix.T, self.merge_tol)
+        return Observable(f"{self.label}^T", self.matrix.T)
 
 
 @dataclass(frozen=True, eq=False)

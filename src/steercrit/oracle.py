@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .observables import Observable, ObservablePairing, default_pairing
-from .states import PSD_TOL, DensityMatrix
+from .states import DensityMatrix
+from .tolerances import ALICE_POWER_FLOOR, NORMALIZATION_TOL, PROB_CLAMP, PSD_TOL
 
 __all__ = [
     "OracleError",
@@ -23,11 +24,6 @@ __all__ = [
     "oracle_moments",
     "audit_dump",
 ]
-
-# a state with eigenvalues >= -PSD_TOL gives probabilities >= -PSD_TOL * D;
-# those between that floor and PROB_CLAMP are set to 0
-PROB_CLAMP = 1e-12
-NORMALIZATION_TOL = 1e-10
 
 
 class OracleError(ValueError):
@@ -81,6 +77,8 @@ def enumerate_table(rho: DensityMatrix, pairing: ObservablePairing) -> OutcomeTa
             f"({pairing.alice.dim}, {pairing.bob.dim})"
         )
     rho_rows = _as_lists(rho.matrix)
+    # a state with eigenvalues >= -PSD_TOL gives probabilities >= -PSD_TOL * D;
+    # those between that floor and PROB_CLAMP are set to 0
     floor = -PSD_TOL * rho.dim
     entries = []
     total = 0.0
@@ -122,7 +120,7 @@ def _alice_groups(table: OutcomeTable) -> dict[float, list[tuple[float, float]]]
 def _oracle_g(table: OutcomeTable) -> float:
     mean_ab = table_moment(table, lambda a, b: a * b)
     mean_a2 = table_moment(table, lambda a, b: a * a)
-    if mean_a2 <= 1e-12:
+    if mean_a2 <= ALICE_POWER_FLOOR:
         raise OracleError(f"<A^2> = {mean_a2:.3e} too small for the estimator")
     return mean_ab / mean_a2
 
@@ -194,6 +192,39 @@ def _derived_observable(kind: str, first: Observable, second: Observable) -> Obs
     return Observable(f"oracle:{kind}({first.label},{second.label})", rows)
 
 
+def _pairings(b1: Observable, b2: Observable, pairing_rule) -> dict:
+    """Table name -> pairing, Alice's derived operators built from her A1, A2."""
+    pair1, pair2 = pairing_rule(b1), pairing_rule(b2)
+    a1, a2 = pair1.alice, pair2.alice
+    pairs = {"b1": pair1, "b2": pair2}
+    for kind in ("commutator", "anticommutator", "difference"):
+        pairs[kind] = ObservablePairing(
+            bob=_derived_observable(kind, b1, b2),
+            alice=_derived_observable(kind, a1, a2),
+        )
+    return pairs
+
+
+def _table_moments(t: dict) -> dict:
+    """Every InferredMoments field from the five tables, keyed like as_dict()."""
+    sq1, sq2 = _oracle_sq_mean(t["b1"]), _oracle_sq_mean(t["b2"])
+    sq0 = _oracle_sq_mean(t["difference"])
+    return {
+        "var_inf_b1": _oracle_var_linear(t["b1"]),
+        "var_inf_b2": _oracle_var_linear(t["b2"]),
+        "var_min_b1": _oracle_var_min(t["b1"]),
+        "var_min_b2": _oracle_var_min(t["b2"]),
+        "abs_mean_inf_commutator": _oracle_abs_mean(t["commutator"]),
+        "mean_inf_anticommutator": _oracle_mean(t["anticommutator"]),
+        "sq_mean_inf_b1": sq1,
+        "sq_mean_inf_b2": sq2,
+        "sq_mean_inf_b0": sq0,
+        "product_of_means_inf": 0.5 * (sq1 + sq2 - sq0),
+        "g1": _oracle_g(t["b1"]),
+        "g2": _oracle_g(t["b2"]),
+    }
+
+
 def oracle_moments(
     rho: DensityMatrix,
     b1: Observable,
@@ -206,41 +237,8 @@ def oracle_moments(
     her A1, A2) but every number is a table sum. Returns a plain dict keyed
     exactly like InferredMoments.as_dict().
     """
-    pair1, pair2 = pairing_rule(b1), pairing_rule(b2)
-    a1, a2 = pair1.alice, pair2.alice
-    pair3 = ObservablePairing(
-        bob=_derived_observable("commutator", b1, b2),
-        alice=_derived_observable("commutator", a1, a2),
-    )
-    pair4 = ObservablePairing(
-        bob=_derived_observable("anticommutator", b1, b2),
-        alice=_derived_observable("anticommutator", a1, a2),
-    )
-    pair0 = ObservablePairing(
-        bob=_derived_observable("difference", b1, b2),
-        alice=_derived_observable("difference", a1, a2),
-    )
-    t1 = enumerate_table(rho, pair1)
-    t2 = enumerate_table(rho, pair2)
-    t3 = enumerate_table(rho, pair3)
-    t4 = enumerate_table(rho, pair4)
-    t0 = enumerate_table(rho, pair0)
-
-    sq1, sq2, sq0 = _oracle_sq_mean(t1), _oracle_sq_mean(t2), _oracle_sq_mean(t0)
-    return {
-        "var_inf_b1": _oracle_var_linear(t1),
-        "var_inf_b2": _oracle_var_linear(t2),
-        "var_min_b1": _oracle_var_min(t1),
-        "var_min_b2": _oracle_var_min(t2),
-        "abs_mean_inf_commutator": _oracle_abs_mean(t3),
-        "mean_inf_anticommutator": _oracle_mean(t4),
-        "sq_mean_inf_b1": sq1,
-        "sq_mean_inf_b2": sq2,
-        "sq_mean_inf_b0": sq0,
-        "product_of_means_inf": 0.5 * (sq1 + sq2 - sq0),
-        "g1": _oracle_g(t1),
-        "g2": _oracle_g(t2),
-    }
+    pairs = _pairings(b1, b2, pairing_rule)
+    return _table_moments({name: enumerate_table(rho, pair) for name, pair in pairs.items()})
 
 
 def audit_dump(
@@ -249,36 +247,17 @@ def audit_dump(
     b2: Observable,
     pairing_rule=default_pairing,
 ) -> dict:
-    """JSON-ready dump of the five outcome tables plus the oracle moments."""
-    pair1, pair2 = pairing_rule(b1), pairing_rule(b2)
-    a1, a2 = pair1.alice, pair2.alice
-    tables = {}
-    for name, bob, alice in (
-        ("b1", b1, a1),
-        ("b2", b2, a2),
-        (
-            "commutator",
-            _derived_observable("commutator", b1, b2),
-            _derived_observable("commutator", a1, a2),
-        ),
-        (
-            "anticommutator",
-            _derived_observable("anticommutator", b1, b2),
-            _derived_observable("anticommutator", a1, a2),
-        ),
-        (
-            "difference",
-            _derived_observable("difference", b1, b2),
-            _derived_observable("difference", a1, a2),
-        ),
-    ):
-        table = enumerate_table(rho, ObservablePairing(bob=bob, alice=alice))
-        tables[name] = {
-            "bob": bob.label,
-            "alice": alice.label,
-            "entries": table.to_json(),
-        }
+    """JSON-ready dump of the five outcome tables plus the oracle moments.
+
+    Each table is enumerated once; the moments are sums over those tables.
+    """
+    pairs = _pairings(b1, b2, pairing_rule)
+    tables = {name: enumerate_table(rho, pair) for name, pair in pairs.items()}
     return {
-        "tables": tables,
-        "moments": oracle_moments(rho, b1, b2, pairing_rule),
+        "tables": {
+            name: {"bob": pair.bob.label, "alice": pair.alice.label,
+                   "entries": tables[name].to_json()}
+            for name, pair in pairs.items()
+        },
+        "moments": _table_moments(tables),
     }

@@ -7,7 +7,9 @@ and 0 <= p <= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .linalg import (
     max_abs,
     partial_trace,
 )
+from .tolerances import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
 
 __all__ = [
     "InvalidStateError",
@@ -28,17 +31,33 @@ __all__ = [
     "isotropic",
     "validate",
     "state_diagnostics",
+    "state_file_diagnostics",
     "state_to_json",
     "state_from_json",
 ]
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-
 
 class InvalidStateError(ValueError):
     """A matrix failed one of the density-matrix invariants."""
+
+
+def _check_dims(dims, dim: int) -> tuple[tuple[int, ...], str | None]:
+    """Subsystem dims as ints, and why they do not describe a dim x dim matrix.
+
+    The reason is None for [d] or [dA, dB] with positive entries whose
+    product is dim. Dims that are not a list of integers are malformed input
+    and raise InvalidStateError.
+    """
+    if not isinstance(dims, (list, tuple)) or not all(
+        isinstance(d, Integral) and not isinstance(d, bool) for d in dims
+    ):
+        raise InvalidStateError(f"bad dims {dims!r}: expected [d] or [dA, dB] of integers")
+    dims = tuple(int(d) for d in dims)
+    if len(dims) not in (1, 2) or any(d < 1 for d in dims):
+        return dims, f"bad subsystem dims {dims}"
+    if math.prod(dims) != dim:
+        return dims, f"dims {dims} do not factor dimension {dim}"
+    return dims, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,13 +75,9 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = as_matrix(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) not in (1, 2) or any(d < 1 for d in dims):
-            raise InvalidStateError(f"bad subsystem dims {dims}")
-        if int(np.prod(dims)) != m.shape[0]:
-            raise InvalidStateError(
-                f"dims {dims} do not factor dimension {m.shape[0]}"
-            )
+        dims, problem = _check_dims(self.dims, m.shape[0])
+        if problem:
+            raise InvalidStateError(problem)
         herm = max_abs(m - m.conj().T)
         if herm >= HERMITICITY_TOL:
             raise InvalidStateError(f"not Hermitian (residual {herm:.3e})")
@@ -192,14 +207,32 @@ def state_to_json(state: DensityMatrix) -> dict:
     }
 
 
-def state_from_json(obj: dict) -> DensityMatrix:
-    """Parse and fully validate the JSON state format."""
+def _parse_state_json(obj) -> tuple[np.ndarray, tuple[int, ...], str | None]:
+    """(matrix, dims, dims problem) of the JSON state format; malformed input raises."""
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise InvalidStateError('state JSON needs "dims" and "matrix" keys')
-    dims = obj["dims"]
-    if not isinstance(dims, (list, tuple)) or len(dims) not in (1, 2):
-        raise InvalidStateError(f'bad "dims" {dims!r}: expected [d] or [dA, dB]')
+    m = _matrix_from_json(obj["matrix"])
+    return (m, *_check_dims(obj["dims"], m.shape[0]))
+
+
+def state_file_diagnostics(obj) -> dict:
+    """state_diagnostics of a JSON state, which is invalid if its dims are.
+
+    Raises InvalidStateError when the JSON is malformed (missing keys, a
+    matrix that is not a grid of [re, im] pairs, dims that are not integers).
+    """
+    m, _, problem = _parse_state_json(obj)
+    info = state_diagnostics(m)
+    info["dims"] = obj["dims"]
+    if info["valid"] and problem:
+        info.update(valid=False, reason=problem)
+    return info
+
+
+def state_from_json(obj: dict) -> DensityMatrix:
+    """Parse and fully validate the JSON state format."""
+    m, dims, _ = _parse_state_json(obj)
     try:
-        return validate(_matrix_from_json(obj["matrix"]), tuple(int(d) for d in dims))
+        return validate(m, dims)
     except LinalgError as exc:
         raise InvalidStateError(str(exc)) from None

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_forms import MODE_CLOSED_FORM, closed_form_report, closed_form_sides
+from .closed_forms import MODE_CLOSED_FORM, closed_form_report, closed_forms_for
 from .criteria import (
     CRITERION_HUR,
     CRITERION_SRUR,
@@ -120,7 +120,10 @@ def _family_sides(family: str, criterion: str, mode: str) -> Callable:
     if mode == MODE_CLOSED_FORM:
 
         def closed_sides(ps):
-            sides = [closed_form_sides(family, p, criterion)[1:] for p in ps]
+            sides = [
+                criterion_sides(closed_forms_for(family, p), criterion, MODE_LINEAR_G)
+                for p in ps
+            ]
             return np.array([lhs for lhs, _ in sides]), np.array([rhs for _, rhs in sides])
 
         return closed_sides
@@ -193,12 +196,11 @@ def _bisect(
     margin_fn: Callable[[float], float],
     grid_margins: Callable[[np.ndarray], list],
     tol: float,
-    pre_sweep_points: int,
 ) -> ThresholdResult:
     """Pre-sweep with grid_margins, then bisect the first crossing with margin_fn."""
     if not math.isfinite(tol) or tol <= 0.0:
         raise ThresholdError(f"tolerance must be positive and finite, got {tol}")
-    grid = np.linspace(0.0, 1.0, pre_sweep_points)
+    grid = np.linspace(0.0, 1.0, _PRE_SWEEP_POINTS)
     margins = grid_margins(grid)
     evaluations = len(margins)
     if not margins[0] > 0.0:
@@ -239,9 +241,7 @@ def _bisect(
 
 
 def bisect_threshold(
-    margin_fn: Callable[[float], float],
-    tol: float = DEFAULT_TOL,
-    pre_sweep_points: int = _PRE_SWEEP_POINTS,
+    margin_fn: Callable[[float], float], tol: float = DEFAULT_TOL
 ) -> ThresholdResult:
     """Locate the crossing of an arbitrary margin function on [0, 1].
 
@@ -252,7 +252,6 @@ def bisect_threshold(
         lambda p: float(margin_fn(p)),
         lambda grid: [float(margin_fn(float(p))) for p in grid],
         tol,
-        pre_sweep_points,
     )
 
 
@@ -277,7 +276,6 @@ def find_threshold(
         lambda p: float(margins([p])[0]),
         lambda grid: margins(grid).tolist(),
         tol,
-        _PRE_SWEEP_POINTS,
     )
 
 

@@ -256,7 +256,8 @@ def _hur_part(rho: DensityMatrix, b1: Observable, b2: Observable) -> float:
 
 
 def test_criterion_9_discrepancy_surfaced_and_regression_pinned():
-    rows = {row.slot: row for row in diff_rows("qubit-xz", 0.0)}
+    engine = full_moments(family_state("qubit-xz", 0.0), *family_observables("qubit-xz"))
+    rows = {row.slot: row for row in diff_rows("qubit-xz", 0.0, engine)}
     product = rows["product_of_means_inf"]
     diff_ok = (
         len(rows) > 0

@@ -352,6 +352,43 @@ def test_audit_uses_the_pairing_file(tmp_path, capsys):
     assert report["moments"]["var_inf_b1"] == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", ["linear-g", "conditional-mean", "paper-closed-form"])
+def test_audit_diff_rows_use_the_bundle_engine_moments(tmp_path, capsys, d, mode):
+    out_path = tmp_path / "audit.json"
+    rc, _, err = run(capsys, "evaluate", "--d", str(d), "--p", "0.3", "--mode", mode,
+                     "--audit", "--out", str(out_path))
+    assert rc == 0, err
+    bundle = json.loads(out_path.read_text())
+    rows = bundle["closed_form_diff"]
+    assert len(rows) == 7
+    for row in rows:
+        assert row["engine_value"] == bundle["engine_moments"][row["slot"]], row["slot"]
+
+
+@pytest.mark.parametrize(
+    "dims", [[2, 2], [2, 3], [2, 2, 1], [0, 4], ["a", 2], [2.5, 2]], ids=str
+)
+def test_validate_state_agrees_with_evaluate_on_dims(tmp_path, capsys, dims):
+    state_path, obs_path = _write_family_files(tmp_path)
+    state = json.loads(state_path.read_text())
+    state["dims"] = dims
+    state_path.write_text(json.dumps(state))
+    rc_valid, out, err = run(capsys, "validate-state", "--state", str(state_path))
+    rc_eval, _, err_eval = run(capsys, "evaluate", "--family", "file",
+                               "--state", str(state_path), "--observables", str(obs_path))
+    assert (rc_valid == 0) == (rc_eval == 0)
+    integer_dims = all(isinstance(d, int) for d in dims)
+    if integer_dims:
+        assert rc_valid in (0, 1)
+        assert json.loads(out)["valid"] is (rc_valid == 0)
+    else:
+        assert rc_valid == 2 and "error:" in err
+    if rc_eval != 0:
+        assert rc_eval == 3 and "error:" in err_eval
+    assert "Traceback" not in err + err_eval
+
+
 def test_invalid_state_file_exits_3(tmp_path, capsys):
     path = tmp_path / "trace2.json"
     matrix = [

@@ -13,16 +13,24 @@ from steercrit import (
     FAMILY_QUBIT_XZ,
     FAMILY_QUTRIT_B1B2,
     ClosedFormError,
+    InferredMoments,
     closed_form_report,
     closed_forms_for,
     diff_rows,
+    family_observables,
+    family_state,
     find_threshold,
+    full_moments,
     qubit_closed_forms,
     qutrit_closed_forms,
     write_diff_csv,
 )
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _engine(family, p):
+    return full_moments(family_state(family, p), *family_observables(family))
 
 
 def test_qubit_pins_at_p0():
@@ -65,7 +73,9 @@ def test_closed_forms_reject_bad_inputs():
 
 
 def test_to_moments_is_a_valid_record():
-    m = qubit_closed_forms(0.42).to_moments()
+    # the closed forms are InferredMoments, which check their own consistency
+    m = qubit_closed_forms(0.42)
+    assert isinstance(m, InferredMoments)
     assert m.var_inf_b1 == m.var_min_b1
     assert m.g1 == pytest.approx(0.42, abs=1e-15)
 
@@ -99,7 +109,7 @@ def test_closed_form_thresholds():
 
 
 def test_diff_report_surfaces_qubit_product_discrepancy():
-    rows = diff_rows(FAMILY_QUBIT_XZ, 0.0)
+    rows = diff_rows(FAMILY_QUBIT_XZ, 0.0, _engine(FAMILY_QUBIT_XZ, 0.0))
     assert rows
     assert [row.slot for row in rows] == list(DIFF_SLOTS)
     by_slot = {row.slot: row for row in rows}
@@ -114,7 +124,10 @@ def test_diff_report_surfaces_qubit_product_discrepancy():
 
 def test_diff_report_qutrit_commutator_scale():
     p = 0.9
-    rows = {row.slot: row for row in diff_rows(FAMILY_QUTRIT_B1B2, p)}
+    rows = {
+        row.slot: row
+        for row in diff_rows(FAMILY_QUTRIT_B1B2, p, _engine(FAMILY_QUTRIT_B1B2, p))
+    }
     # engine: sum_a |<B3>_a| = 2 sqrt(2) p / 3; closed form: p / sqrt(27)
     assert rows["abs_mean_inf_commutator"].engine_value == pytest.approx(
         2 * math.sqrt(2) * p / 3, abs=1e-12
@@ -130,7 +143,7 @@ def test_diff_report_qutrit_commutator_scale():
 
 def test_diff_csv_format():
     buf = io.StringIO()
-    write_diff_csv(buf, diff_rows(FAMILY_QUBIT_XZ, 0.0))
+    write_diff_csv(buf, diff_rows(FAMILY_QUBIT_XZ, 0.0, _engine(FAMILY_QUBIT_XZ, 0.0)))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "p,slot,engine_value,paper_value,abs_diff"
     assert len(lines) == 1 + len(DIFF_SLOTS)

@@ -8,7 +8,9 @@ structurally, with floats equal to 12 significant digits.
 Regenerate the expected files (only when an output change is intended, and
 say so in CHANGES.md) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+
+which rewrites the named cases, or every case when none is named.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(CASES):
+    for case in sys.argv[1:] or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for output, text in run_case(case, Path(tmp)).items():
                 _golden_path(case, output).write_text(text, encoding="utf-8")

@@ -22,23 +22,15 @@ from steercrit import (
     MeasurementSettings,
     Observable,
     ObservablePairing,
-    conditional_mean,
     default_pairing,
     explicit_pairing,
     full_moments,
-    inferred_abs_mean,
-    inferred_mean,
-    inferred_product_of_means,
-    inferred_sq_mean,
-    inferred_variance_linear,
-    inferred_variance_min,
     isotropic,
     joint_distribution,
     joint_tables,
     max_entangled,
     moment_batch,
     qutrit_triplet,
-    reid_g,
     spin_half,
 )
 
@@ -66,8 +58,8 @@ def test_qutrit_marginals_are_uniform():
     rho = isotropic(IsotropicParams(d=3, p=0.4))
     b1 = qutrit_triplet()[0]
     jd = joint_distribution(rho, _pairing(b1))
-    np.testing.assert_allclose(jd.alice_marginal(), np.full(3, 1 / 3), atol=1e-12)
-    np.testing.assert_allclose(jd.bob_marginal(), np.full(3, 1 / 3), atol=1e-12)
+    np.testing.assert_allclose(jd.probs.sum(axis=1), np.full(3, 1 / 3), atol=1e-12)
+    np.testing.assert_allclose(jd.probs.sum(axis=0), np.full(3, 1 / 3), atol=1e-12)
 
 
 def test_joint_distribution_rejects_mismatch():
@@ -83,103 +75,95 @@ def test_conditional_mean_scales_with_p():
     p = 0.6
     rho = isotropic(IsotropicParams(d=2, p=p))
     jd = joint_distribution(rho, _pairing(spin_half("z")))
-    assert conditional_mean(jd, 0.5) == pytest.approx(p * 0.5, abs=1e-12)
-    assert conditional_mean(jd, -0.5) == pytest.approx(-p * 0.5, abs=1e-12)
-
-
-def test_conditional_mean_rejects_unknown_outcome():
-    jd = joint_distribution(max_entangled(2), _pairing(spin_half("z")))
-    with pytest.raises(InferenceError):
-        conditional_mean(jd, 0.3)
+    # <B | A = a> = sum_b P(a, b) b / P(a), for a = +1/2 and -1/2
+    means = jd.probs @ np.asarray(jd.bob_outcomes) / jd.probs.sum(axis=1)
+    np.testing.assert_allclose(means, [p * 0.5, -p * 0.5], atol=1e-12)
 
 
 def test_conditional_mean_rejects_zero_probability_outcome():
+    # on |00> Alice never sees Sz = -1/2; that outcome is left out of every
+    # conditional sum instead of being divided by its zero probability
     rho = DensityMatrix(np.diag([1.0, 0, 0, 0]).astype(complex), dims=(2, 2))
-    jd = joint_distribution(rho, _pairing(spin_half("z")))
-    with pytest.raises(InferenceError):
-        conditional_mean(jd, -0.5)
+    m = full_moments(rho, spin_half("z"), spin_half("x"))
+    assert all(np.isfinite(v) for v in m.as_dict().values())
+    assert m.var_min_b1 == 0.0
+    assert m.sq_mean_inf_b1 == pytest.approx(0.25, abs=1e-15)
 
 
 def test_reid_g_equals_p_on_isotropic():
-    for d, obs in ((2, spin_half("x")), (3, qutrit_triplet()[0])):
+    b1, b2, _ = qutrit_triplet()
+    for d, pair in ((2, (spin_half("x"), spin_half("z"))), (3, (b1, b2))):
         for p in (0.0, 0.37, 1.0):
-            rho = isotropic(IsotropicParams(d=d, p=p))
-            assert reid_g(rho, _pairing(obs)) == pytest.approx(p, abs=1e-12)
+            m = full_moments(isotropic(IsotropicParams(d=d, p=p)), *pair)
+            assert m.g1 == pytest.approx(p, abs=1e-12)
+            assert m.g2 == pytest.approx(p, abs=1e-12)
 
 
 def test_reid_g_vanishes_on_product_noise():
     rho = DensityMatrix(np.eye(4) / 4, dims=(2, 2))
-    assert reid_g(rho, _pairing(spin_half("y"))) == pytest.approx(0.0, abs=1e-12)
+    m = full_moments(rho, spin_half("y"), spin_half("x"))
+    assert m.g1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reid_g_guards_vanishing_alice_power():
     zero = Observable("zero", np.zeros((2, 2)))
-    pairing = ObservablePairing(bob=spin_half("z"), alice=zero)
+    rule = explicit_pairing({"Sz": zero, "Sx": spin_half("x").transpose()})
     rho = isotropic(IsotropicParams(d=2, p=0.5))
-    with pytest.raises(InferenceError):
-        reid_g(rho, pairing)
+    with pytest.raises(InferenceError, match="<A\\^2>"):
+        full_moments(rho, spin_half("z"), spin_half("x"), rule)
 
 
 def test_inferred_variances_on_qubit_family():
     p = 0.3
     rho = isotropic(IsotropicParams(d=2, p=p))
-    for axis in ("x", "z"):
-        pairing = _pairing(spin_half(axis))
-        want = (1 - p * p) / 4
-        assert inferred_variance_linear(rho, pairing) == pytest.approx(want, abs=1e-12)
-        jd = joint_distribution(rho, pairing)
-        assert inferred_variance_min(jd) == pytest.approx(want, abs=1e-12)
+    m = full_moments(rho, spin_half("x"), spin_half("z"))
+    want = (1 - p * p) / 4
+    for value in (m.var_inf_b1, m.var_inf_b2, m.var_min_b1, m.var_min_b2):
+        assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_inferred_variances_on_qutrit_family():
     p = 0.5
     rho = isotropic(IsotropicParams(d=3, p=p))
     b1, b2, _ = qutrit_triplet()
-    assert inferred_variance_linear(rho, _pairing(b1)) == pytest.approx(
-        (2 / 3) * (1 - p * p), abs=1e-12
-    )
-    assert inferred_variance_linear(rho, _pairing(b2)) == pytest.approx(
-        (1 / 3) * (1 - p * p), abs=1e-12
-    )
-    for obs, want in ((b1, (2 / 3) * (1 - p * p)), (b2, (1 / 3) * (1 - p * p))):
-        jd = joint_distribution(rho, _pairing(obs))
-        assert inferred_variance_min(jd) == pytest.approx(want, abs=1e-12)
+    m = full_moments(rho, b1, b2)
+    assert m.var_inf_b1 == pytest.approx((2 / 3) * (1 - p * p), abs=1e-12)
+    assert m.var_inf_b2 == pytest.approx((1 / 3) * (1 - p * p), abs=1e-12)
+    assert m.var_min_b1 == pytest.approx((2 / 3) * (1 - p * p), abs=1e-12)
+    assert m.var_min_b2 == pytest.approx((1 / 3) * (1 - p * p), abs=1e-12)
 
 
 def test_inferred_abs_mean_of_commutator():
     p = 0.44
     rho = isotropic(IsotropicParams(d=2, p=p))
-    settings_ = MeasurementSettings.build(spin_half("x"), spin_half("z"))
-    assert inferred_abs_mean(rho, settings_.pair_commutator) == pytest.approx(
-        p / 2, abs=1e-12
-    )
+    m = full_moments(rho, spin_half("x"), spin_half("z"))
+    assert m.abs_mean_inf_commutator == pytest.approx(p / 2, abs=1e-12)
 
 
 def test_inferred_mean_of_identity_is_one():
+    # {1, 1} = 2 * 1, so its inferred mean is twice that of the identity
     one = Observable("one", np.eye(2))
     rho = isotropic(IsotropicParams(d=2, p=0.8))
-    assert inferred_mean(rho, _pairing(one)) == pytest.approx(1.0, abs=1e-12)
+    m = full_moments(rho, one, one)
+    assert m.mean_inf_anticommutator == pytest.approx(2.0, abs=1e-12)
 
 
 def test_inferred_mean_of_vanishing_anticommutator():
     rho = isotropic(IsotropicParams(d=2, p=0.8))
-    settings_ = MeasurementSettings.build(spin_half("x"), spin_half("z"))
-    assert inferred_mean(rho, settings_.pair_anticommutator) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    m = full_moments(rho, spin_half("x"), spin_half("z"))
+    assert m.mean_inf_anticommutator == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inferred_sq_mean_values():
     p = 0.8
     rho2 = isotropic(IsotropicParams(d=2, p=p))
-    assert inferred_sq_mean(rho2, _pairing(spin_half("x"))) == pytest.approx(
-        p * p / 4, abs=1e-12
-    )
+    m2 = full_moments(rho2, spin_half("x"), spin_half("z"))
+    assert m2.sq_mean_inf_b1 == pytest.approx(p * p / 4, abs=1e-12)
     p = 0.6
     rho3 = isotropic(IsotropicParams(d=3, p=p))
-    assert inferred_sq_mean(rho3, _pairing(qutrit_triplet()[0])) == pytest.approx(
-        2 * p * p / 3, abs=1e-12
-    )
+    b1, b2, _ = qutrit_triplet()
+    m3 = full_moments(rho3, b1, b2)
+    assert m3.sq_mean_inf_b1 == pytest.approx(2 * p * p / 3, abs=1e-12)
 
 
 def test_product_of_means_vanishes_on_both_families():
@@ -188,24 +172,7 @@ def test_product_of_means_vanishes_on_both_families():
     for d, (o1, o2) in ((2, (sx, sz)), (3, (b1, b2))):
         for p in (0.0, 0.5, 0.9, 1.0):
             rho = isotropic(IsotropicParams(d=d, p=p))
-            settings_ = MeasurementSettings.build(o1, o2)
-            value = inferred_product_of_means(
-                rho,
-                settings_.pair_b1,
-                settings_.pair_b2,
-                settings_.pair_difference,
-            )
-            assert abs(value) < 1e-12
-
-
-def test_product_of_means_rejects_inconsistent_difference():
-    sx, sz = spin_half("x"), spin_half("z")
-    rho = isotropic(IsotropicParams(d=2, p=0.5))
-    settings_ = MeasurementSettings.build(sx, sz)
-    with pytest.raises(InferenceError):
-        inferred_product_of_means(
-            rho, settings_.pair_b1, settings_.pair_b2, settings_.pair_b1
-        )
+            assert abs(full_moments(rho, o1, o2).product_of_means_inf) < 1e-12
 
 
 def test_measurement_settings_labels():
@@ -286,9 +253,8 @@ def test_linear_estimator_never_beats_conditional_mean(seed, d):
     rho = random_bipartite(rng, d, d)
     bob = random_observable(rng, d, "B")
     alice = random_observable(rng, d, "A")
-    pairing = ObservablePairing(bob=bob, alice=alice)
-    jd = joint_distribution(rho, pairing)
-    assert inferred_variance_linear(rho, pairing) >= inferred_variance_min(jd) - 1e-10
+    m = full_moments(rho, bob, bob, explicit_pairing({"B": alice}))
+    assert m.var_inf_b1 >= m.var_min_b1 - 1e-10
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 
 from steercrit import (
     LinalgError,
-    dagger,
+    commutator_observable,
     eig_hermitian,
     identity,
     kron,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_sub,
     partial_trace,
+    qutrit_triplet,
     spin_half,
-    trace,
 )
 from steercrit.linalg import as_matrix, max_abs
 
@@ -34,6 +30,7 @@ def test_as_matrix_accepts_nested_lists():
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.complex128
     assert m.shape == (2, 2)
+    assert max_abs(m) == 4.0
 
 
 def test_as_matrix_rejects_non_square():
@@ -52,36 +49,9 @@ def test_identity():
     np.testing.assert_array_equal(identity(3), np.eye(3, dtype=complex))
 
 
-def test_elementwise_ops():
-    sx = spin_half("x").matrix
-    sz = spin_half("z").matrix
-    np.testing.assert_allclose(
-        mat_sub(sx, sz), np.array([[-0.5, 0.5], [0.5, 0.5]]), atol=1e-15
-    )
-    np.testing.assert_allclose(mat_add(sx, sz), sx + sz, atol=0)
-    np.testing.assert_allclose(
-        mat_scale(SY, 1j), np.array([[0, 1], [-1, 0]], dtype=complex), atol=0
-    )
-
-
-def test_mat_mul_matches_numpy():
-    a = np.arange(4).reshape(2, 2).astype(complex)
-    b = (np.arange(4) * 1j).reshape(2, 2)
-    np.testing.assert_array_equal(mat_mul(a, b), a @ b)
-
-
 def test_shape_mismatch_raises():
     with pytest.raises(LinalgError):
-        mat_add(np.eye(2), np.eye(3))
-    with pytest.raises(LinalgError):
-        mat_mul(np.eye(2), np.eye(3))
-
-
-def test_dagger_and_trace():
-    m = np.array([[1, 2j], [3, 4]], dtype=complex)
-    np.testing.assert_array_equal(dagger(m), m.conj().T)
-    assert trace(m) == 5 + 0j
-    assert max_abs(m) == 4.0
+        commutator_observable(spin_half("x"), qutrit_triplet()[0])
 
 
 def test_kron_mixed_product(rng):
@@ -164,7 +134,8 @@ def _check_decomposition(m: np.ndarray) -> None:
         for q in dec.projectors[i + 1:]:
             assert np.max(np.abs(p @ q)) < 1e-10
     assert np.max(np.abs(total - np.eye(d))) < 1e-10
-    assert np.max(np.abs(dec.reconstruct() - m)) < 1e-10
+    rebuilt = sum(val * p for val, p in zip(dec.eigenvalues, dec.projectors))
+    assert np.max(np.abs(rebuilt - m)) < 1e-10
     # eigenvalue multiset agrees with the reference solver
     mine = sorted(
         ev for ev, p in zip(dec.eigenvalues, dec.projectors)

@@ -16,7 +16,6 @@ from steercrit import (
     enumerate_table,
     explicit_pairing,
     full_moments,
-    inferred_variance_linear,
     isotropic,
     max_entangled,
     oracle_moments,
@@ -111,10 +110,9 @@ def test_oracle_linear_variance_matches_engine_estimator(rng):
         d = int(rng.integers(2, 4))
         rho = random_bipartite(rng, d, d)
         bob = random_observable(rng, d, "B")
-        pairing = default_pairing(bob)
-        want = inferred_variance_linear(rho, pairing)
-        table = enumerate_table(rho, pairing)
-        got = oracle_moments(rho, bob, random_observable(rng, d, "C"))["var_inf_b1"]
+        other = random_observable(rng, d, "C")
+        want = full_moments(rho, bob, other).var_inf_b1
+        got = oracle_moments(rho, bob, other)["var_inf_b1"]
         assert got == pytest.approx(want, abs=1e-10)
 
 

@@ -120,6 +120,7 @@ def _family_sides(family: str, criterion: str, mode: str) -> Callable:
     if mode == MODE_CLOSED_FORM:
 
         def closed_sides(ps):
+            # the closed-form lhs is the var_inf product, the linear-g lhs
             sides = [
                 criterion_sides(closed_forms_for(family, p), criterion, MODE_LINEAR_G)
                 for p in ps

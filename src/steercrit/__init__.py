@@ -35,7 +35,6 @@ from .criteria import (
     CRITERION_SRUR,
     CriterionReport,
     evaluate_criterion,
-    evaluate_hur,
     evaluate_srur,
     hur_rhs,
     srur_rhs,
@@ -61,7 +60,6 @@ from .inference import (
     InferredMoments,
     JointDistribution,
     MeasurementSettings,
-    MomentBatch,
     expectation,
     full_moments,
     joint_distribution,
@@ -117,7 +115,6 @@ from .thresholds import (
     find_threshold,
     sweep,
     sweep_csv_text,
-    write_sweep_csv,
 )
 
 __version__ = "0.1.0"
@@ -144,7 +141,6 @@ __all__ = [
     "JointDistribution",
     "LinalgError",
     "MeasurementSettings",
-    "MomentBatch",
     "Observable",
     "ObservablePairing",
     "OracleError",
@@ -166,7 +162,6 @@ __all__ = [
     "eig_hermitian",
     "enumerate_table",
     "evaluate_criterion",
-    "evaluate_hur",
     "evaluate_srur",
     "expectation",
     "explicit_pairing",
@@ -205,5 +200,4 @@ __all__ = [
     "validate",
     "variance",
     "write_diff_csv",
-    "write_sweep_csv",
 ]

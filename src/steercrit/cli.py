@@ -127,10 +127,7 @@ def _load_json(path: Path):
 def _check_isotropic_dim(d: int | None) -> int:
     if d is None:
         raise _ConfigError("--family isotropic requires --d")
-    try:
-        family_for_dimension(d)
-    except FamilyError as exc:
-        raise _ConfigError(str(exc)) from None
+    family_for_dimension(d)
     return int(d)
 
 
@@ -158,18 +155,8 @@ def _cmd_evaluate(args) -> int:
     if not args.audit and args.out is not None:
         raise _ConfigError("--out on evaluate is only used with --audit")
 
-    if args.mode == MODE_CLOSED_FORM:
-        if args.family != "isotropic":
-            raise _ConfigError("mode paper-closed-form requires --family isotropic")
-        if args.pairing != "transpose" or args.pairing_file is not None:
-            raise _ConfigError(
-                "mode paper-closed-form fixes the pairing; drop --pairing/--pairing-file"
-            )
-        if args.state is not None or args.observables is not None:
-            raise _ConfigError(
-                "mode paper-closed-form uses built-in observables; "
-                "drop --state/--observables"
-            )
+    if args.mode == MODE_CLOSED_FORM and args.family != "isotropic":
+        raise _ConfigError("mode paper-closed-form requires --family isotropic")
 
     if args.family == "isotropic":
         if args.state is not None or args.observables is not None:
@@ -188,14 +175,17 @@ def _cmd_evaluate(args) -> int:
             raise _ConfigError("--p applies to --family isotropic only")
         if args.state is None or args.observables is None:
             raise _ConfigError("--family file requires --state and --observables")
-        state_obj = _load_json(args.state)
-        rho = state_from_json(state_obj)
-        if not rho.is_bipartite:
-            raise _ConfigError(f"{args.state} must hold a bipartite state")
+        rho = state_from_json(_load_json(args.state))
         b1, b2 = _load_observable_pair(args.observables)
         if args.pairing == "file":
             if args.pairing_file is None:
                 raise _ConfigError("--pairing file requires --pairing-file")
+            # the pairing table is keyed by Bob's labels
+            if b1.label == b2.label:
+                raise _ConfigError(
+                    "--pairing file needs distinct labels for Bob's observables, "
+                    f"got {b1.label!r} twice"
+                )
             a1, a2 = _load_observable_pair(args.pairing_file)
             rule = explicit_pairing({b1.label: a1, b2.label: a2})
         else:

@@ -17,7 +17,9 @@ The qubit commutator slot has no published closed form; it is set to
 (p / 2)^2, the value implied by -i[Sx, Sz] = -Sy under perfectly correlating
 pairing, which is the unique assignment reproducing the 0.56 crossing.
 
-The closed forms are InferredMoments records. Their var_min slots equal
+The closed forms are InferredMoments records: a float p gives floats, an
+array of p gives an (N,) array per field, element for element the same
+arithmetic. Their var_min slots equal
 var_inf (the two estimators coincide on isotropic states, a fact the engine
 tests verify) and sq_mean_inf_b0 is filled by the polarization identity
 sq1 + sq2 - 2 * product, so each record is self-consistent with its product
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .criteria import CRITERION_SRUR, CriterionReport, build_report, criterion_sides
 from .families import FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2, family_descriptor
@@ -53,15 +57,17 @@ class ClosedFormError(ValueError):
     """Unknown family or out-of-range parameter."""
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ClosedFormError(f"p must lie in [0, 1], got {p}")
-    return p
+def _check_p(p):
+    """p as a float, or a sequence of p as a float array; all in [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    outside = ~((0.0 <= p) & (p <= 1.0))
+    if outside.any():
+        raise ClosedFormError(f"p must lie in [0, 1], got {p[outside][0]}")
+    return float(p) if p.ndim == 0 else p
 
 
-def qubit_closed_forms(p: float) -> InferredMoments:
-    """Closed forms for the qubit (Sx, Sz) pair on isotropic states."""
+def qubit_closed_forms(p) -> InferredMoments:
+    """Closed forms for the qubit (Sx, Sz) pair on isotropic states at p."""
     p = _check_p(p)
     var = 0.25 * (1.0 - p * p)
     sq = 0.25 * p * p
@@ -72,7 +78,8 @@ def qubit_closed_forms(p: float) -> InferredMoments:
         var_min_b1=var,
         var_min_b2=var,
         abs_mean_inf_commutator=0.5 * p,
-        mean_inf_anticommutator=0.0,
+        # zero shaped like p; abs keeps it +0.0 at p = -0.0
+        mean_inf_anticommutator=abs(0.0 * p),
         sq_mean_inf_b1=sq,
         sq_mean_inf_b2=sq,
         sq_mean_inf_b0=2.0 * sq - 2.0 * product,
@@ -82,8 +89,8 @@ def qubit_closed_forms(p: float) -> InferredMoments:
     )
 
 
-def qutrit_closed_forms(p: float) -> InferredMoments:
-    """Closed forms for the qutrit (B1, B2) pair on isotropic states."""
+def qutrit_closed_forms(p) -> InferredMoments:
+    """Closed forms for the qutrit (B1, B2) pair on isotropic states at p."""
     p = _check_p(p)
     p2 = p * p
     sq1 = 2.0 * p2 / 27.0
@@ -95,7 +102,7 @@ def qutrit_closed_forms(p: float) -> InferredMoments:
         var_min_b1=(2.0 / 3.0) * (1.0 - p2),
         var_min_b2=(1.0 / 3.0) * (1.0 - p2),
         abs_mean_inf_commutator=p / math.sqrt(27.0),
-        mean_inf_anticommutator=0.0,
+        mean_inf_anticommutator=abs(0.0 * p),
         sq_mean_inf_b1=sq1,
         sq_mean_inf_b2=sq2,
         sq_mean_inf_b0=sq1 + sq2 - 2.0 * product,
@@ -105,7 +112,8 @@ def qutrit_closed_forms(p: float) -> InferredMoments:
     )
 
 
-def closed_forms_for(family: str, p: float) -> InferredMoments:
+def closed_forms_for(family: str, p) -> InferredMoments:
+    """The family's closed forms at a float p, or at an array of p."""
     if family == FAMILY_QUBIT_XZ:
         return qubit_closed_forms(p)
     if family == FAMILY_QUTRIT_B1B2:
@@ -118,12 +126,15 @@ def closed_form_report(
 ) -> CriterionReport:
     """Assemble the criterion from closed-form moments, mode-tagged.
 
-    The closed-form lhs is the var_inf product, the linear-g lhs.
+    The closed-form lhs is the var_inf product, the linear-g lhs. p is
+    evaluated as a grid of one, so the report equals a sweep row at p bit
+    for bit.
     """
-    moments = closed_forms_for(family, p)
+    moments = closed_forms_for(family, [p])
     lhs, rhs = criterion_sides(moments, criterion, MODE_LINEAR_G)
     return build_report(
-        criterion, MODE_CLOSED_FORM, lhs, rhs, moments, family_descriptor(family, p)
+        criterion, MODE_CLOSED_FORM, float(lhs[0]), float(rhs[0]), moments.row(0),
+        family_descriptor(family, p),
     )
 
 

@@ -21,7 +21,6 @@ from .inference import (
     MODE_LINEAR_G,
     InferenceError,
     InferredMoments,
-    MeasurementSettings,
     expectation,
     full_moments,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "srur_rhs",
     "hur_rhs",
     "evaluate_srur",
-    "evaluate_hur",
     "evaluate_criterion",
     "criterion_sides",
     "build_report",
@@ -91,8 +89,8 @@ def hur_rhs(moments: InferredMoments) -> float:
 def criterion_sides(moments, criterion: str, mode: str):
     """(lhs, rhs) of one criterion in one engine mode.
 
-    moments is an InferredMoments, giving floats, or a MomentBatch, giving
-    (N,) arrays computed row by row.
+    A record of floats gives floats; a record of (N,) arrays gives (N,)
+    arrays, computed row by row.
     """
     if criterion not in (CRITERION_SRUR, CRITERION_HUR):
         raise InferenceError(f"unknown criterion {criterion!r}")
@@ -131,53 +129,31 @@ def build_report(
 
 def evaluate_criterion(
     rho: DensityMatrix,
-    b1: Observable | None = None,
-    b2: Observable | None = None,
+    b1: Observable,
+    b2: Observable,
     pairing_rule=default_pairing,
     mode: str = MODE_LINEAR_G,
     criterion: str = CRITERION_SRUR,
     state_descriptor: str | None = None,
-    settings: MeasurementSettings | None = None,
 ) -> CriterionReport:
-    """Evaluate one criterion on one state.
-
-    Accepts either (b1, b2, pairing_rule) or a prebuilt MeasurementSettings
-    (useful in sweeps, where the settings are p-independent).
-    """
-    moments = full_moments(rho, b1, b2, pairing_rule, settings=settings)
+    """Evaluate one criterion on one state."""
+    moments = full_moments(rho, b1, b2, pairing_rule)
     if state_descriptor is None:
-        setting = settings.pair_b1.bob.label if settings is not None else b1.label
-        other = settings.pair_b2.bob.label if settings is not None else b2.label
-        state_descriptor = f"dims={rho.dims}; observables=({setting},{other})"
+        state_descriptor = f"dims={rho.dims}; observables=({b1.label},{b2.label})"
     lhs, rhs = criterion_sides(moments, criterion, mode)
     return build_report(criterion, mode, lhs, rhs, moments, state_descriptor)
 
 
 def evaluate_srur(
     rho: DensityMatrix,
-    b1: Observable | None = None,
-    b2: Observable | None = None,
+    b1: Observable,
+    b2: Observable,
     pairing_rule=default_pairing,
     mode: str = MODE_LINEAR_G,
     state_descriptor: str | None = None,
-    settings: MeasurementSettings | None = None,
 ) -> CriterionReport:
     return evaluate_criterion(
-        rho, b1, b2, pairing_rule, mode, CRITERION_SRUR, state_descriptor, settings
-    )
-
-
-def evaluate_hur(
-    rho: DensityMatrix,
-    b1: Observable | None = None,
-    b2: Observable | None = None,
-    pairing_rule=default_pairing,
-    mode: str = MODE_LINEAR_G,
-    state_descriptor: str | None = None,
-    settings: MeasurementSettings | None = None,
-) -> CriterionReport:
-    return evaluate_criterion(
-        rho, b1, b2, pairing_rule, mode, CRITERION_HUR, state_descriptor, settings
+        rho, b1, b2, pairing_rule, mode, CRITERION_SRUR, state_descriptor
     )
 
 

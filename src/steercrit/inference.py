@@ -10,15 +10,16 @@ setting B0 = B1 - B2 by polarization) are always conditional-mean based.
 
 Every moment, the linear-g ones included, is a sum over the joint outcome
 tables P(a, b) = tr[rho (P_a tensor Q_b)]. The engine evaluates N states at
-once: each table carries a leading batch axis and each moment becomes an
-(N,) array (MomentBatch); a single state is a batch of 1. Every reduction
+once: each table carries a leading batch axis and each field of the one
+InferredMoments record becomes an (N,) array; a single state is a batch of
+1, and row(i) gives state i's record of floats. Every reduction
 acts row by row, so row i does not depend on N, and a sweep row equals the
 single evaluation at the same state bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
     "MODE_CONDITIONAL_MEAN",
     "JointDistribution",
     "InferredMoments",
-    "MomentBatch",
     "MeasurementSettings",
     "joint_distribution",
     "joint_tables",
@@ -105,12 +105,12 @@ def _table_checks(raw: np.ndarray, dim: int) -> list:
     ]
 
 
-def _order_checks(moments) -> list:
+def _order_checks(fields: dict) -> list:
     """var_inf >= var_min - VARIANCE_ORDER_TOL, for float or (N,) fields."""
     checks = []
     for key in ("b1", "b2"):
-        inf = np.atleast_1d(getattr(moments, f"var_inf_{key}"))
-        low = np.atleast_1d(getattr(moments, f"var_min_{key}"))
+        inf = np.atleast_1d(fields[f"var_inf_{key}"])
+        low = np.atleast_1d(fields[f"var_min_{key}"])
         checks.append((
             inf < low - VARIANCE_ORDER_TOL,
             lambda i, key=key, inf=inf, low=low: (
@@ -245,8 +245,8 @@ class MeasurementSettings:
 class InferredMoments:
     """Every inferred quantity one criterion evaluation needs.
 
-    The raw joint tables are retained for audits; they do not enter equality
-    or serialization of the numeric record.
+    Each field is a float for one state, or an (N,) array for N states
+    evaluated together; row(i) is then state i's record of floats.
     """
 
     var_inf_b1: float
@@ -261,10 +261,9 @@ class InferredMoments:
     product_of_means_inf: float
     g1: float
     g2: float
-    tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        _raise_first(_order_checks(self))
+        _raise_first(_order_checks(vars(self)))
 
     NUMERIC_FIELDS = (
         "var_inf_b1",
@@ -284,40 +283,10 @@ class InferredMoments:
     def as_dict(self) -> dict:
         return {name: float(getattr(self, name)) for name in self.NUMERIC_FIELDS}
 
-
-@dataclass(frozen=True, eq=False)
-class MomentBatch:
-    """The InferredMoments of N states: every numeric field is an (N,) array.
-
-    tables maps each name of settings.pairings() to its clamped (N, na, nb)
-    joint tables.
-    """
-
-    var_inf_b1: np.ndarray
-    var_inf_b2: np.ndarray
-    var_min_b1: np.ndarray
-    var_min_b2: np.ndarray
-    abs_mean_inf_commutator: np.ndarray
-    mean_inf_anticommutator: np.ndarray
-    sq_mean_inf_b1: np.ndarray
-    sq_mean_inf_b2: np.ndarray
-    sq_mean_inf_b0: np.ndarray
-    product_of_means_inf: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    settings: MeasurementSettings = field(repr=False)
-    tables: dict = field(repr=False)
-
     def row(self, i: int) -> InferredMoments:
-        """The record of state i, with its five JointDistributions."""
+        """The float record of state i of an (N,)-array record."""
         return InferredMoments(
-            **{name: float(getattr(self, name)[i]) for name in InferredMoments.NUMERIC_FIELDS},
-            tables={
-                name: JointDistribution(
-                    pairing.alice.outcomes, pairing.bob.outcomes, self.tables[name][i]
-                )
-                for name, pairing in self.settings.pairings().items()
-            },
+            **{name: float(getattr(self, name)[i]) for name in self.NUMERIC_FIELDS}
         )
 
 
@@ -333,26 +302,25 @@ def joint_tables(settings: MeasurementSettings, matrices: np.ndarray) -> dict:
     }
 
 
-def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> MomentBatch:
+def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> InferredMoments:
     """Check and clamp N states' raw tables, then reduce them to every moment.
 
-    dim is the full dimension D of the states. An InferenceError names the
-    first state that fails a check, and that state's first failed check.
+    dim is the full dimension D of the states; every field of the result is
+    an (N,) array. An InferenceError names the first state that fails a
+    check, and that state's first failed check.
     """
     checks = []
-    tables = {}
     sums = {}
     for name, pairing in settings.pairings().items():
         checks += _table_checks(raw_tables[name], dim)
-        tables[name] = _clamp(raw_tables[name])
-        sums[name] = _conditional_sums(tables[name], pairing.bob.outcomes)
+        sums[name] = _conditional_sums(_clamp(raw_tables[name]), pairing.bob.outcomes)
     a2_1, g1, var_inf_1 = _linear(*sums["b1"], settings.pair_b1.alice.outcomes)
     a2_2, g2, var_inf_2 = _linear(*sums["b2"], settings.pair_b2.alice.outcomes)
     checks += [_alice_power_check(a2_1), _alice_power_check(a2_2)]
     sq1 = _sq_mean(*sums["b1"][:2])
     sq2 = _sq_mean(*sums["b2"][:2])
     sq0 = _sq_mean(*sums["difference"][:2])
-    batch = MomentBatch(
+    fields = dict(
         var_inf_b1=var_inf_1,
         var_inf_b2=var_inf_2,
         var_min_b1=_var_min(*sums["b1"]),
@@ -365,28 +333,17 @@ def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> M
         product_of_means_inf=0.5 * (sq1 + sq2 - sq0),
         g1=g1,
         g2=g2,
-        settings=settings,
-        tables=tables,
     )
-    _raise_first(checks + _order_checks(batch))
-    return batch
+    # every check at once, so the first failing state is reported whichever
+    # check it fails
+    _raise_first(checks + _order_checks(fields))
+    return InferredMoments(**fields)
 
 
 def full_moments(
-    rho: DensityMatrix,
-    b1: Observable | None = None,
-    b2: Observable | None = None,
-    pairing_rule=default_pairing,
-    settings: MeasurementSettings | None = None,
+    rho: DensityMatrix, b1: Observable, b2: Observable, pairing_rule=default_pairing
 ) -> InferredMoments:
-    """Compute the complete InferredMoments record for one evaluation.
-
-    Either pass (b1, b2, pairing_rule) or a prebuilt MeasurementSettings.
-    The state is evaluated as a batch of 1.
-    """
-    if settings is None:
-        if b1 is None or b2 is None:
-            raise InferenceError("full_moments needs (b1, b2) or settings")
-        settings = MeasurementSettings.build(b1, b2, pairing_rule)
+    """Compute the complete InferredMoments record of one state, a batch of 1."""
+    settings = MeasurementSettings.build(b1, b2, pairing_rule)
     _check_state_matches(rho, settings.pair_b1)
     return moment_batch(settings, joint_tables(settings, rho.matrix[None]), rho.dim).row(0)

@@ -23,6 +23,8 @@ __all__ = [
     "kron",
     "max_abs",
     "partial_trace",
+    "matrix_to_json",
+    "matrix_from_json",
     "eig_hermitian",
 ]
 
@@ -56,6 +58,22 @@ def kron(a, b) -> np.ndarray:
 def max_abs(a: np.ndarray) -> float:
     """Largest absolute entry, the norm used for all validation thresholds."""
     return float(np.max(np.abs(a)))
+
+
+def matrix_to_json(m: np.ndarray) -> list:
+    """The JSON grid of [re, im] pairs, one row per matrix row."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def matrix_from_json(rows) -> np.ndarray:
+    """Parse a square JSON grid of [re, im] pairs; LinalgError if malformed."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise LinalgError(f"bad matrix JSON: {exc}") from None
+    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+        raise LinalgError("matrix JSON must be a square grid of [re, im] pairs")
+    return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
 def partial_trace(a, dims: tuple[int, int], keep: str) -> np.ndarray:

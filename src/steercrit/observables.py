@@ -20,6 +20,8 @@ from .linalg import (
     as_matrix,
     eig_hermitian,
     kron,
+    matrix_from_json,
+    matrix_to_json,
     max_abs,
 )
 from .tolerances import HERMITICITY_TOL
@@ -186,16 +188,10 @@ def explicit_pairing(table: dict[str, Observable]):
 
 def observable_to_json(obs: Observable) -> dict:
     """Serialize to {"label": ..., "matrix": [[[re, im], ...], ...]}."""
-    return {
-        "label": obs.label,
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in obs.matrix],
-    }
+    return {"label": obs.label, "matrix": matrix_to_json(obs.matrix)}
 
 
 def observable_from_json(obj: dict) -> Observable:
     if not isinstance(obj, dict) or "label" not in obj or "matrix" not in obj:
         raise LinalgError('observable JSON needs "label" and "matrix" keys')
-    arr = np.asarray(obj["matrix"], dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise LinalgError("matrix JSON must be a square grid of [re, im] pairs")
-    return Observable(str(obj["label"]), arr[:, :, 0] + 1j * arr[:, :, 1])
+    return Observable(str(obj["label"]), matrix_from_json(obj["matrix"]))

@@ -18,6 +18,8 @@ from .linalg import (
     as_matrix,
     eig_hermitian,
     identity,
+    matrix_from_json,
+    matrix_to_json,
     max_abs,
     partial_trace,
 )
@@ -183,36 +185,30 @@ def validate(m, dims: tuple[int, ...] | None = None) -> DensityMatrix:
     return DensityMatrix(m, dims if dims is not None else (m.shape[0],))
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidStateError(f"bad matrix JSON: {exc}") from None
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidStateError(
-            "matrix JSON must be a square grid of [re, im] pairs"
-        )
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
-
-
 def state_to_json(state: DensityMatrix) -> dict:
     """Serialize to {"dims": [...], "matrix": [[[re, im], ...], ...]}."""
     return {
         "dims": [int(d) for d in state.dims],
-        "matrix": _matrix_to_json(state.matrix),
+        "matrix": matrix_to_json(state.matrix),
     }
 
 
 def _parse_state_json(obj) -> tuple[np.ndarray, tuple[int, ...], str | None]:
-    """(matrix, dims, dims problem) of the JSON state format; malformed input raises."""
+    """(matrix, dims, dims problem) of the JSON state format; malformed input raises.
+
+    A state file holds a bipartite state, so single-system dims [d] are a
+    problem here.
+    """
     if not isinstance(obj, dict) or "dims" not in obj or "matrix" not in obj:
         raise InvalidStateError('state JSON needs "dims" and "matrix" keys')
-    m = _matrix_from_json(obj["matrix"])
-    return (m, *_check_dims(obj["dims"], m.shape[0]))
+    try:
+        m = matrix_from_json(obj["matrix"])
+    except LinalgError as exc:
+        raise InvalidStateError(str(exc)) from None
+    dims, problem = _check_dims(obj["dims"], m.shape[0])
+    if problem is None and len(dims) != 2:
+        problem = f"state file dims {dims} are not bipartite [dA, dB]"
+    return m, dims, problem
 
 
 def state_file_diagnostics(obj) -> dict:
@@ -231,8 +227,11 @@ def state_file_diagnostics(obj) -> dict:
 
 def state_from_json(obj: dict) -> DensityMatrix:
     """Parse and fully validate the JSON state format."""
-    m, dims, _ = _parse_state_json(obj)
+    m, dims, problem = _parse_state_json(obj)
     try:
-        return validate(m, dims)
+        rho = validate(m, dims)
     except LinalgError as exc:
         raise InvalidStateError(str(exc)) from None
+    if problem:
+        raise InvalidStateError(problem)
+    return rho

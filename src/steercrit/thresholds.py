@@ -5,13 +5,15 @@ negative at p = 1; the threshold is the sign change. The finder pre-sweeps a
 coarse grid so a non-monotone margin is caught (reported as multi_crossing
 and resolved to the smallest crossing), then bisects deterministically.
 
-Engine modes evaluate a whole grid of p in one vectorised pass
-(families.family_moments); a single p is a grid of one, so a sweep row and
-the evaluator at the same p agree bit for bit.
+Every mode evaluates a whole grid of p in one vectorised pass: the engine
+modes through families.family_moments, the closed-form mode through
+closed_forms.closed_forms_for. A single p is a grid of one, so a sweep row
+and the evaluator at the same p agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -47,7 +49,6 @@ __all__ = [
     "find_threshold",
     "bisect_threshold",
     "sweep_csv_text",
-    "write_sweep_csv",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -118,17 +119,11 @@ def _family_sides(family: str, criterion: str, mode: str) -> Callable:
     """p values -> (lhs, rhs) arrays for one family/criterion/mode."""
     _check_config(criterion, mode)
     if mode == MODE_CLOSED_FORM:
-
-        def closed_sides(ps):
-            # the closed-form lhs is the var_inf product, the linear-g lhs
-            sides = [
-                criterion_sides(closed_forms_for(family, p), criterion, MODE_LINEAR_G)
-                for p in ps
-            ]
-            return np.array([lhs for lhs, _ in sides]), np.array([rhs for _, rhs in sides])
-
-        return closed_sides
-    moments_at = family_moments(family)
+        moments_at = functools.partial(closed_forms_for, family)
+        # the closed-form lhs is the var_inf product, the linear-g lhs
+        mode = MODE_LINEAR_G
+    else:
+        moments_at = family_moments(family)
     return lambda ps: criterion_sides(moments_at(ps), criterion, mode)
 
 
@@ -146,10 +141,10 @@ def family_evaluator(
     moments_at = family_moments(family)
 
     def evaluate(p: float) -> CriterionReport:
-        batch = moments_at([p])
-        lhs, rhs = criterion_sides(batch, criterion, mode)
+        moments = moments_at([p])
+        lhs, rhs = criterion_sides(moments, criterion, mode)
         return build_report(
-            criterion, mode, float(lhs[0]), float(rhs[0]), batch.row(0),
+            criterion, mode, float(lhs[0]), float(rhs[0]), moments.row(0),
             family_descriptor(family, p),
         )
 
@@ -193,28 +188,28 @@ def sweep(
     ))
 
 
-def _bisect(
-    margin_fn: Callable[[float], float],
-    grid_margins: Callable[[np.ndarray], list],
-    tol: float,
-) -> ThresholdResult:
-    """Pre-sweep with grid_margins, then bisect the first crossing with margin_fn."""
+def _bisect(margins: Callable[[np.ndarray], list], tol: float) -> ThresholdResult:
+    """Pre-sweep a coarse grid, then bisect its first crossing.
+
+    margins maps a sequence of p to the list of their margins; each
+    bisection step passes one p.
+    """
     if not math.isfinite(tol) or tol <= 0.0:
         raise ThresholdError(f"tolerance must be positive and finite, got {tol}")
     grid = np.linspace(0.0, 1.0, _PRE_SWEEP_POINTS)
-    margins = grid_margins(grid)
-    evaluations = len(margins)
-    if not margins[0] > 0.0:
+    pre = margins(grid)
+    evaluations = len(pre)
+    if not pre[0] > 0.0:
         raise ThresholdError(
-            f"margin at p=0 is {margins[0]:.6g}; the criterion is already "
+            f"margin at p=0 is {pre[0]:.6g}; the criterion is already "
             "violated at p=0, no threshold to find"
         )
-    if not margins[-1] < 0.0:
+    if not pre[-1] < 0.0:
         raise ThresholdError(
-            f"margin at p=1 is {margins[-1]:.6g}; no sign change on [0, 1], "
+            f"margin at p=1 is {pre[-1]:.6g}; no sign change on [0, 1], "
             "the criterion is never violated"
         )
-    positive = [m > 0.0 for m in margins]
+    positive = [m > 0.0 for m in pre]
     crossings = [
         i for i in range(len(grid) - 1) if positive[i] != positive[i + 1]
     ]
@@ -226,7 +221,7 @@ def _bisect(
             break
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        if margin_fn(mid) > 0.0:
+        if margins([mid])[0] > 0.0:
             lo = mid
         else:
             hi = mid
@@ -236,7 +231,7 @@ def _bisect(
         p_star=p_star,
         bracket=(lo, hi),
         evaluations=evaluations,
-        margin_at_p_star=margin_fn(p_star),
+        margin_at_p_star=margins([p_star])[0],
         multi_crossing=multi,
     )
 
@@ -249,11 +244,7 @@ def bisect_threshold(
     Requires margin(0) > 0 > margin(1). Multiple sign changes on the coarse
     grid are flagged and the smallest crossing is refined.
     """
-    return _bisect(
-        lambda p: float(margin_fn(p)),
-        lambda grid: [float(margin_fn(float(p))) for p in grid],
-        tol,
-    )
+    return _bisect(lambda ps: [float(margin_fn(float(p))) for p in ps], tol)
 
 
 def find_threshold(
@@ -269,15 +260,11 @@ def find_threshold(
     """
     sides = _family_sides(resolve_family(family, d), criterion, mode)
 
-    def margins(ps) -> np.ndarray:
+    def margins(ps) -> list:
         lhs, rhs = sides(ps)
-        return lhs - rhs
+        return (lhs - rhs).tolist()
 
-    return _bisect(
-        lambda p: float(margins([p])[0]),
-        lambda grid: margins(grid).tolist(),
-        tol,
-    )
+    return _bisect(margins, tol)
 
 
 def sweep_csv_text(result: SweepResult) -> str:
@@ -289,7 +276,3 @@ def sweep_csv_text(result: SweepResult) -> str:
             f"{r.p:.12g},{r.lhs:.12g},{r.rhs:.12g},{r.margin:.12g},{flag}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(fileobj, result: SweepResult) -> None:
-    fileobj.write(sweep_csv_text(result))

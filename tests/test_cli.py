@@ -155,6 +155,17 @@ def test_validate_state_malformed(tmp_path, capsys):
     rc, _, _ = run(capsys, "validate-state", "--state", str(nokey))
     assert rc == 2
 
+    # observable files whose matrix is not a grid of numbers
+    state_path, obs_path = _write_family_files(tmp_path)
+    good = json.loads(obs_path.read_text())
+    for bad_matrix in ([[["a", 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]],
+                       [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0]]]):
+        obs_path.write_text(json.dumps([{"label": "Sx", "matrix": bad_matrix}, good[1]]))
+        rc, _, err = run(capsys, "evaluate", "--family", "file",
+                         "--state", str(state_path), "--observables", str(obs_path))
+        assert rc == 2
+        assert "error:" in err and "Traceback" not in err
+
 
 def _write_family_files(tmp_path, p=0.7):
     state_path = tmp_path / "state.json"
@@ -204,6 +215,28 @@ def test_explicit_pairing_file(tmp_path, capsys):
     rc, out, _ = run(capsys, "evaluate", "--d", "2", "--p", "0.7")
     want = json.loads(out)
     assert got["margin"] == pytest.approx(want["margin"], abs=1e-14)
+
+
+def test_pairing_file_rejects_equal_bob_labels(tmp_path, capsys):
+    # a pairing file is keyed by Bob's labels, so two Bob observables with one
+    # label cannot both be paired
+    state_path, obs_path = _write_family_files(tmp_path)
+    obs_path.write_text(json.dumps([
+        {"label": "B1", "matrix": observable_to_json(spin_half("x"))["matrix"]},
+        {"label": "B1", "matrix": observable_to_json(spin_half("z"))["matrix"]},
+    ]))
+    pairing_path = tmp_path / "alice.json"
+    pairing_path.write_text(json.dumps([
+        observable_to_json(spin_half("x")), observable_to_json(spin_half("z")),
+    ]))
+    rc, out, err = run(
+        capsys, "evaluate", "--family", "file",
+        "--state", str(state_path), "--observables", str(obs_path),
+        "--pairing", "file", "--pairing-file", str(pairing_path),
+    )
+    assert rc == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_audit_bundle(tmp_path, capsys):
@@ -367,7 +400,7 @@ def test_audit_diff_rows_use_the_bundle_engine_moments(tmp_path, capsys, d, mode
 
 
 @pytest.mark.parametrize(
-    "dims", [[2, 2], [2, 3], [2, 2, 1], [0, 4], ["a", 2], [2.5, 2]], ids=str
+    "dims", [[2, 2], [2, 3], [2, 2, 1], [0, 4], ["a", 2], [2.5, 2], [4]], ids=str
 )
 def test_validate_state_agrees_with_evaluate_on_dims(tmp_path, capsys, dims):
     state_path, obs_path = _write_family_files(tmp_path)

@@ -70,6 +70,18 @@ def test_closed_forms_reject_bad_inputs():
         qutrit_closed_forms(-0.1)
     with pytest.raises(ClosedFormError):
         closed_forms_for("unknown-family", 0.5)
+    with pytest.raises(ClosedFormError, match="got 1.5"):
+        closed_forms_for(FAMILY_QUBIT_XZ, [0.5, 1.5, 2.0])
+
+
+def test_closed_forms_on_a_grid_match_each_float():
+    grid = np.linspace(0.0, 1.0, 7)
+    for family in (FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2):
+        batch = closed_forms_for(family, grid)
+        for i, p in enumerate(grid.tolist()):
+            single = closed_forms_for(family, p)
+            assert all(type(v) is float for v in vars(single).values())
+            assert batch.row(i).as_dict() == single.as_dict()
 
 
 def test_to_moments_is_a_valid_record():

@@ -13,7 +13,6 @@ from steercrit import (
     InferenceError,
     IsotropicParams,
     evaluate_criterion,
-    evaluate_hur,
     evaluate_srur,
     full_moments,
     hur_rhs,
@@ -85,7 +84,10 @@ def test_linear_mode_uses_linear_variances():
 def test_violated_iff_negative_margin():
     for p in (0.0, 0.5, 0.61, 0.62, 0.9, 1.0):
         rho, b1, b2 = _qubit(p)
-        for report in (evaluate_srur(rho, b1, b2), evaluate_hur(rho, b1, b2)):
+        for report in (
+            evaluate_srur(rho, b1, b2),
+            evaluate_criterion(rho, b1, b2, criterion="hur"),
+        ):
             assert report.violated == (report.margin < 0.0)
 
 
@@ -93,7 +95,7 @@ def test_hur_equals_srur_when_covariance_term_vanishes():
     # both built-in pairs have zero anticommutator and zero product of means
     rho, b1, b2 = _qubit(0.8)
     assert evaluate_srur(rho, b1, b2).rhs == pytest.approx(
-        evaluate_hur(rho, b1, b2).rhs, abs=1e-12
+        evaluate_criterion(rho, b1, b2, criterion="hur").rhs, abs=1e-12
     )
 
 

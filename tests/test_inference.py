@@ -194,7 +194,6 @@ def test_full_moments_at_p0():
     assert m.sq_mean_inf_b0 == pytest.approx(0.0, abs=1e-12)
     assert m.product_of_means_inf == pytest.approx(0.0, abs=1e-12)
     assert m.g1 == pytest.approx(0.0, abs=1e-12)
-    assert set(m.tables) == {"b1", "b2", "commutator", "anticommutator", "difference"}
 
 
 def test_full_moments_at_p1_has_zero_inferred_variance():
@@ -224,7 +223,7 @@ def test_moment_batch_reports_first_failing_state():
         moment_batch(settings_, raw, 4)
     batch = moment_batch(settings_, joint_tables(settings_, good[None]), 4)
     assert batch.row(0).as_dict() == full_moments(
-        DensityMatrix(good, dims=(2, 2)), settings=settings_
+        DensityMatrix(good, dims=(2, 2)), spin_half("x"), spin_half("z")
     ).as_dict()
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -12,6 +11,7 @@ from steercrit import (
     FAMILY_QUBIT_XZ,
     FAMILY_QUTRIT_B1B2,
     FamilyError,
+    InvalidStateError,
     ThresholdError,
     bisect_threshold,
     family_observables,
@@ -20,7 +20,6 @@ from steercrit import (
     oracle_moments,
     sweep,
     sweep_csv_text,
-    write_sweep_csv,
 )
 from steercrit.thresholds import MAX_SWEEP_STEPS, family_evaluator, resolve_family
 
@@ -64,7 +63,8 @@ def test_sweep_two_point_grid():
 def test_sweep_rows_match_evaluator():
     # a sweep is one batch, the evaluator a batch of one: rows must not
     # depend on the batch size
-    for d, mode, criterion in ENGINE_CONFIGS:
+    closed_configs = [(d, "paper-closed-form", c) for d in (2, 3) for c in ("srur", "hur")]
+    for d, mode, criterion in ENGINE_CONFIGS + closed_configs:
         evaluator = family_evaluator(resolve_family("isotropic", d), criterion, mode)
         result = sweep("isotropic", d, criterion=criterion, mode=mode, steps=101)
         for row in result.rows:
@@ -73,6 +73,16 @@ def test_sweep_rows_match_evaluator():
             assert row.rhs == report.rhs
             assert row.margin == report.margin
             assert row.violated == report.violated
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-9, -1e-12])
+@pytest.mark.parametrize("mode", ["linear-g", "conditional-mean"])
+def test_engine_evaluator_rejects_p_outside_unit_interval(mode, p):
+    with pytest.raises(InvalidStateError) as expected:
+        family_state(FAMILY_QUBIT_XZ, p)
+    with pytest.raises(InvalidStateError) as got:
+        family_evaluator(FAMILY_QUBIT_XZ, "srur", mode)(p)
+    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("d,mode,criterion", ENGINE_CONFIGS)
@@ -117,13 +127,6 @@ def test_sweep_csv_bytes_are_deterministic():
     assert a.endswith("\n")
     assert lines[1].endswith(",false")
     assert lines[-1].endswith(",true")
-
-
-def test_write_sweep_csv_matches_text():
-    result = sweep("isotropic", 2, steps=5)
-    buf = io.StringIO()
-    write_sweep_csv(buf, result)
-    assert buf.getvalue() == sweep_csv_text(result)
 
 
 def test_sweep_validates_arguments():

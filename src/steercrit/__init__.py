@@ -70,9 +70,6 @@ from .linalg import (
     LinalgError,
     SpectralDecomposition,
     eig_hermitian,
-    identity,
-    kron,
-    partial_trace,
 )
 from .observables import (
     Observable,
@@ -98,7 +95,6 @@ from .oracle import (
 from .states import (
     DensityMatrix,
     InvalidStateError,
-    IsotropicParams,
     isotropic,
     max_entangled,
     state_diagnostics,
@@ -118,86 +114,3 @@ from .thresholds import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CRITERION_HUR",
-    "CRITERION_SRUR",
-    "DIFF_SLOTS",
-    "FAMILIES",
-    "FAMILY_QUBIT_XZ",
-    "FAMILY_QUTRIT_B1B2",
-    "MODE_CLOSED_FORM",
-    "MODE_CONDITIONAL_MEAN",
-    "MODE_LINEAR_G",
-    "ClosedFormError",
-    "CriterionReport",
-    "DensityMatrix",
-    "DiffRow",
-    "FamilyError",
-    "InferenceError",
-    "InferredMoments",
-    "InvalidStateError",
-    "IsotropicParams",
-    "JointDistribution",
-    "LinalgError",
-    "MeasurementSettings",
-    "Observable",
-    "ObservablePairing",
-    "OracleError",
-    "OutcomeTable",
-    "SpectralDecomposition",
-    "SweepResult",
-    "SweepRow",
-    "ThresholdError",
-    "ThresholdResult",
-    "anticommutator_observable",
-    "audit_dump",
-    "bisect_threshold",
-    "closed_form_report",
-    "closed_forms_for",
-    "commutator_observable",
-    "default_pairing",
-    "diff_rows",
-    "difference_observable",
-    "eig_hermitian",
-    "enumerate_table",
-    "evaluate_criterion",
-    "evaluate_srur",
-    "expectation",
-    "explicit_pairing",
-    "family_descriptor",
-    "family_dimension",
-    "family_moments",
-    "family_for_dimension",
-    "family_observables",
-    "family_state",
-    "find_threshold",
-    "full_moments",
-    "hur_rhs",
-    "identity",
-    "isotropic",
-    "joint_distribution",
-    "joint_tables",
-    "kron",
-    "max_entangled",
-    "moment_batch",
-    "observable_from_json",
-    "observable_to_json",
-    "oracle_moments",
-    "partial_trace",
-    "qubit_closed_forms",
-    "qutrit_closed_forms",
-    "qutrit_triplet",
-    "spin_half",
-    "srur_rhs",
-    "state_diagnostics",
-    "state_from_json",
-    "state_to_json",
-    "sweep",
-    "sweep_csv_text",
-    "table_moment",
-    "uncertainty_terms",
-    "validate",
-    "variance",
-    "write_diff_csv",
-]

@@ -52,8 +52,6 @@ from .thresholds import (
     sweep_csv_text,
 )
 
-__all__ = ["main"]
-
 
 class _ConfigError(Exception):
     """Flag combination the commands cannot act on."""
@@ -124,6 +122,15 @@ def _load_json(path: Path):
         raise _ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _write_file(path, write) -> None:
+    """Open path for writing and pass the file to write; OSError is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _check_isotropic_dim(d: int | None) -> int:
     if d is None:
         raise _ConfigError("--family isotropic requires --d")
@@ -141,8 +148,8 @@ def _check_p(p: float | None) -> float:
 
 def _load_observable_pair(path: Path):
     data = _load_json(path)
-    if not isinstance(data, list) or len(data) < 2:
-        raise _ConfigError(f"{path} must hold a JSON array of >= 2 observables")
+    if not isinstance(data, list) or len(data) != 2:
+        raise _ConfigError(f"{path} must hold a JSON array of exactly 2 observables")
     try:
         return observable_from_json(data[0]), observable_from_json(data[1])
     except LinalgError as exc:
@@ -227,17 +234,16 @@ def _cmd_evaluate(args) -> int:
             if closed_diff is None
             else [dataclasses.asdict(row) for row in closed_diff],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(bundle, fh, indent=2)
-            fh.write("\n")
+        _write_file(args.out, lambda fh: fh.write(json.dumps(bundle, indent=2) + "\n"))
         if closed_diff is not None:
-            with open(str(args.out) + ".diff.csv", "w", encoding="utf-8") as fh:
-                write_diff_csv(fh, closed_diff)
+            _write_file(f"{args.out}.diff.csv", lambda fh: write_diff_csv(fh, closed_diff))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     d = _check_isotropic_dim(args.d)
+    if args.jobs < 1:
+        raise _ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     result = sweep(
         "isotropic", d,
         criterion=args.criterion,
@@ -245,10 +251,8 @@ def _cmd_sweep(args) -> int:
         p_start=args.p_start,
         p_end=args.p_end,
         steps=args.steps,
-        jobs=args.jobs,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(sweep_csv_text(result))
+    _write_file(args.out, lambda fh: fh.write(sweep_csv_text(result)))
     return 0
 
 

@@ -37,18 +37,6 @@ from .criteria import CRITERION_SRUR, CriterionReport, build_report, criterion_s
 from .families import FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2, family_descriptor
 from .inference import MODE_LINEAR_G, InferredMoments
 
-__all__ = [
-    "MODE_CLOSED_FORM",
-    "ClosedFormError",
-    "DiffRow",
-    "DIFF_SLOTS",
-    "qubit_closed_forms",
-    "qutrit_closed_forms",
-    "closed_forms_for",
-    "closed_form_report",
-    "diff_rows",
-    "write_diff_csv",
-]
 
 MODE_CLOSED_FORM = "paper-closed-form"
 

@@ -32,19 +32,6 @@ from .observables import (
 )
 from .states import DensityMatrix
 
-__all__ = [
-    "CRITERION_SRUR",
-    "CRITERION_HUR",
-    "CriterionReport",
-    "srur_rhs",
-    "hur_rhs",
-    "evaluate_srur",
-    "evaluate_criterion",
-    "criterion_sides",
-    "build_report",
-    "variance",
-    "uncertainty_terms",
-]
 
 CRITERION_SRUR = "srur"
 CRITERION_HUR = "hur"

@@ -13,19 +13,8 @@ import numpy as np
 
 from .inference import InferredMoments, MeasurementSettings, joint_tables, moment_batch
 from .observables import Observable, qutrit_triplet, spin_half
-from .states import DensityMatrix, IsotropicParams, isotropic
+from .states import DensityMatrix, isotropic
 
-__all__ = [
-    "FAMILY_QUBIT_XZ",
-    "FAMILY_QUTRIT_B1B2",
-    "FAMILIES",
-    "family_for_dimension",
-    "family_dimension",
-    "family_observables",
-    "family_state",
-    "family_descriptor",
-    "family_moments",
-]
 
 FAMILY_QUBIT_XZ = "qubit-xz"
 FAMILY_QUTRIT_B1B2 = "qutrit-b1b2"
@@ -60,7 +49,7 @@ def family_observables(family: str) -> tuple[Observable, Observable]:
 
 
 def family_state(family: str, p: float) -> DensityMatrix:
-    return isotropic(IsotropicParams(d=family_dimension(family), p=float(p)))
+    return isotropic(family_dimension(family), float(p))
 
 
 def family_descriptor(family: str, p: float) -> str:

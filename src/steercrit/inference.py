@@ -40,19 +40,6 @@ from .tolerances import (
     VARIANCE_ORDER_TOL,
 )
 
-__all__ = [
-    "InferenceError",
-    "MODE_LINEAR_G",
-    "MODE_CONDITIONAL_MEAN",
-    "JointDistribution",
-    "InferredMoments",
-    "MeasurementSettings",
-    "joint_distribution",
-    "joint_tables",
-    "moment_batch",
-    "full_moments",
-    "expectation",
-]
 
 MODE_LINEAR_G = "linear-g"
 MODE_CONDITIONAL_MEAN = "conditional-mean"
@@ -199,46 +186,26 @@ class MeasurementSettings:
     Alice's derived operators are built from her own A1, A2 by the same
     algebra as Bob's: A3 = -i[A1, A2], A4 = {A1, A2}, A0 = A1 - A2. Building
     the settings once and reusing them across a sweep keeps the cached
-    spectral decompositions and projector stacks alive.
+    spectral decompositions and projector stacks alive. pairs maps table
+    name -> pairing in evaluation order: b1, b2, commutator,
+    anticommutator, difference.
     """
 
-    pair_b1: ObservablePairing
-    pair_b2: ObservablePairing
-    pair_commutator: ObservablePairing
-    pair_anticommutator: ObservablePairing
-    pair_difference: ObservablePairing
+    pairs: dict[str, ObservablePairing]
 
     @classmethod
     def build(cls, b1: Observable, b2: Observable, pairing_rule=default_pairing):
         pair1 = pairing_rule(b1)
         pair2 = pairing_rule(b2)
         a1, a2 = pair1.alice, pair2.alice
-        return cls(
-            pair_b1=pair1,
-            pair_b2=pair2,
-            pair_commutator=ObservablePairing(
-                bob=commutator_observable(b1, b2),
-                alice=commutator_observable(a1, a2),
-            ),
-            pair_anticommutator=ObservablePairing(
-                bob=anticommutator_observable(b1, b2),
-                alice=anticommutator_observable(a1, a2),
-            ),
-            pair_difference=ObservablePairing(
-                bob=difference_observable(b1, b2),
-                alice=difference_observable(a1, a2),
-            ),
-        )
-
-    def pairings(self) -> dict[str, ObservablePairing]:
-        """Table name -> pairing, in evaluation order."""
-        return {
-            "b1": self.pair_b1,
-            "b2": self.pair_b2,
-            "commutator": self.pair_commutator,
-            "anticommutator": self.pair_anticommutator,
-            "difference": self.pair_difference,
-        }
+        pairs = {"b1": pair1, "b2": pair2}
+        for name, derive in (
+            ("commutator", commutator_observable),
+            ("anticommutator", anticommutator_observable),
+            ("difference", difference_observable),
+        ):
+            pairs[name] = ObservablePairing(bob=derive(b1, b2), alice=derive(a1, a2))
+        return cls(pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,28 +232,14 @@ class InferredMoments:
     def __post_init__(self) -> None:
         _raise_first(_order_checks(vars(self)))
 
-    NUMERIC_FIELDS = (
-        "var_inf_b1",
-        "var_inf_b2",
-        "var_min_b1",
-        "var_min_b2",
-        "abs_mean_inf_commutator",
-        "mean_inf_anticommutator",
-        "sq_mean_inf_b1",
-        "sq_mean_inf_b2",
-        "sq_mean_inf_b0",
-        "product_of_means_inf",
-        "g1",
-        "g2",
-    )
-
     def as_dict(self) -> dict:
-        return {name: float(getattr(self, name)) for name in self.NUMERIC_FIELDS}
+        """Field name -> float, in field order."""
+        return {name: float(value) for name, value in vars(self).items()}
 
     def row(self, i: int) -> InferredMoments:
         """The float record of state i of an (N,)-array record."""
         return InferredMoments(
-            **{name: float(getattr(self, name)[i]) for name in self.NUMERIC_FIELDS}
+            **{name: float(value[i]) for name, value in vars(self).items()}
         )
 
 
@@ -298,7 +251,7 @@ def joint_tables(settings: MeasurementSettings, matrices: np.ndarray) -> dict:
     """
     return {
         name: _contract(matrices, pairing.projector_products)
-        for name, pairing in settings.pairings().items()
+        for name, pairing in settings.pairs.items()
     }
 
 
@@ -311,11 +264,11 @@ def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> I
     """
     checks = []
     sums = {}
-    for name, pairing in settings.pairings().items():
+    for name, pairing in settings.pairs.items():
         checks += _table_checks(raw_tables[name], dim)
         sums[name] = _conditional_sums(_clamp(raw_tables[name]), pairing.bob.outcomes)
-    a2_1, g1, var_inf_1 = _linear(*sums["b1"], settings.pair_b1.alice.outcomes)
-    a2_2, g2, var_inf_2 = _linear(*sums["b2"], settings.pair_b2.alice.outcomes)
+    a2_1, g1, var_inf_1 = _linear(*sums["b1"], settings.pairs["b1"].alice.outcomes)
+    a2_2, g2, var_inf_2 = _linear(*sums["b2"], settings.pairs["b2"].alice.outcomes)
     checks += [_alice_power_check(a2_1), _alice_power_check(a2_2)]
     sq1 = _sq_mean(*sums["b1"][:2])
     sq2 = _sq_mean(*sums["b2"][:2])
@@ -345,5 +298,5 @@ def full_moments(
 ) -> InferredMoments:
     """Compute the complete InferredMoments record of one state, a batch of 1."""
     settings = MeasurementSettings.build(b1, b2, pairing_rule)
-    _check_state_matches(rho, settings.pair_b1)
+    _check_state_matches(rho, settings.pairs["b1"])
     return moment_batch(settings, joint_tables(settings, rho.matrix[None]), rho.dim).row(0)

@@ -15,18 +15,6 @@ import numpy as np
 
 from .tolerances import DEGENERACY_TOL, HERMITICITY_TOL
 
-__all__ = [
-    "LinalgError",
-    "SpectralDecomposition",
-    "as_matrix",
-    "identity",
-    "kron",
-    "max_abs",
-    "partial_trace",
-    "matrix_to_json",
-    "matrix_from_json",
-    "eig_hermitian",
-]
 
 _JACOBI_MAX_SWEEPS = 100
 _JACOBI_OFFDIAG_TOL = 1e-14
@@ -46,15 +34,6 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product; result dimension is dim(a) * dim(b)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def max_abs(a: np.ndarray) -> float:
     """Largest absolute entry, the norm used for all validation thresholds."""
     return float(np.max(np.abs(a)))
@@ -66,37 +45,20 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    """Parse a square JSON grid of [re, im] pairs; LinalgError if malformed."""
+    """Parse a square JSON grid of [re, im] pairs; LinalgError if malformed.
+
+    Entries must be finite JSON numbers: strings, null, booleans, NaN and
+    Infinity are rejected rather than converted.
+    """
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows)
     except (TypeError, ValueError) as exc:
         raise LinalgError(f"bad matrix JSON: {exc}") from None
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise LinalgError("matrix JSON entries must be finite numbers")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise LinalgError("matrix JSON must be a square grid of [re, im] pairs")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
-
-
-def partial_trace(a, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Reduced matrix on the kept subsystem of a bipartite operator.
-
-    Args:
-        a: matrix on the composite space, dimension dims[0] * dims[1].
-        dims: (dA, dB) subsystem dimensions.
-        keep: "A" to trace out the second factor, "B" the first.
-    """
-    m = as_matrix(a)
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a < 1 or d_b < 1 or m.shape[0] != d_a * d_b:
-        raise LinalgError(
-            f"cannot factor dimension {m.shape[0]} as {d_a} x {d_b}"
-        )
-    t = m.reshape(d_a, d_b, d_a, d_b)
-    side = str(keep).upper()
-    if side == "A":
-        return np.einsum("ikjk->ij", t)
-    if side == "B":
-        return np.einsum("ikil->kl", t)
-    raise LinalgError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 @dataclass(frozen=True)

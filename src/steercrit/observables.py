@@ -19,26 +19,11 @@ from .linalg import (
     SpectralDecomposition,
     as_matrix,
     eig_hermitian,
-    kron,
     matrix_from_json,
     matrix_to_json,
     max_abs,
 )
 from .tolerances import HERMITICITY_TOL
-
-__all__ = [
-    "Observable",
-    "ObservablePairing",
-    "spin_half",
-    "qutrit_triplet",
-    "commutator_observable",
-    "anticommutator_observable",
-    "difference_observable",
-    "default_pairing",
-    "explicit_pairing",
-    "observable_to_json",
-    "observable_from_json",
-]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +91,7 @@ class ObservablePairing:
         stack = np.empty((len(alice_projs), len(bob_projs), d2, d2), dtype=complex)
         for i, pa in enumerate(alice_projs):
             for j, qb in enumerate(bob_projs):
-                stack[i, j] = kron(pa, qb)
+                stack[i, j] = np.kron(pa, qb)
         stack.setflags(write=False)
         return stack
 

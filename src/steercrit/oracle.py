@@ -16,15 +16,6 @@ from .observables import Observable, ObservablePairing, default_pairing
 from .states import DensityMatrix
 from .tolerances import ALICE_POWER_FLOOR, NORMALIZATION_TOL, PROB_CLAMP, PSD_TOL
 
-__all__ = [
-    "OracleError",
-    "OutcomeTable",
-    "enumerate_table",
-    "table_moment",
-    "oracle_moments",
-    "audit_dump",
-]
-
 
 class OracleError(ValueError):
     """An enumerated table failed a sanity check."""
@@ -177,7 +168,7 @@ def _naive_matmul(x, y) -> list[list[complex]]:
 
 
 def _derived_observable(kind: str, first: Observable, second: Observable) -> Observable:
-    """B3/B4/B0 from two observables, using the naive multiply path."""
+    """B3/B4/B0 ("commutator", "anticommutator", "difference") by naive multiplies."""
     x, y = _as_lists(first.matrix), _as_lists(second.matrix)
     n = len(x)
     xy, yx = _naive_matmul(x, y), _naive_matmul(y, x)
@@ -185,10 +176,8 @@ def _derived_observable(kind: str, first: Observable, second: Observable) -> Obs
         rows = [[-1j * (xy[i][j] - yx[i][j]) for j in range(n)] for i in range(n)]
     elif kind == "anticommutator":
         rows = [[xy[i][j] + yx[i][j] for j in range(n)] for i in range(n)]
-    elif kind == "difference":
-        rows = [[x[i][j] - y[i][j] for j in range(n)] for i in range(n)]
     else:
-        raise OracleError(f"unknown derived observable kind {kind!r}")
+        rows = [[x[i][j] - y[i][j] for j in range(n)] for i in range(n)]
     return Observable(f"oracle:{kind}({first.label},{second.label})", rows)
 
 

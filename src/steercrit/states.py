@@ -17,26 +17,11 @@ from .linalg import (
     LinalgError,
     as_matrix,
     eig_hermitian,
-    identity,
     matrix_from_json,
     matrix_to_json,
     max_abs,
-    partial_trace,
 )
 from .tolerances import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
-
-__all__ = [
-    "InvalidStateError",
-    "DensityMatrix",
-    "IsotropicParams",
-    "max_entangled",
-    "isotropic",
-    "validate",
-    "state_diagnostics",
-    "state_file_diagnostics",
-    "state_to_json",
-    "state_from_json",
-]
 
 
 class InvalidStateError(ValueError):
@@ -99,26 +84,6 @@ class DensityMatrix:
     def is_bipartite(self) -> bool:
         return len(self.dims) == 2
 
-    def reduced(self, keep: str) -> np.ndarray:
-        """Marginal on subsystem "A" or "B" of a bipartite state."""
-        if not self.is_bipartite:
-            raise InvalidStateError("reduced() needs a bipartite state")
-        return partial_trace(self.matrix, (self.dims[0], self.dims[1]), keep)
-
-
-@dataclass(frozen=True)
-class IsotropicParams:
-    """Local dimension d >= 2 and mixing weight p in [0, 1]."""
-
-    d: int
-    p: float
-
-    def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
-            raise InvalidStateError(f"d must be an integer >= 2, got {self.d}")
-        if not 0.0 <= self.p <= 1.0:
-            raise InvalidStateError(f"p must lie in [0, 1], got {self.p}")
-
 
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto |Psi+> = sum_i |ii> / sqrt(d), as a (d, d) state."""
@@ -131,15 +96,18 @@ def max_entangled(d: int) -> DensityMatrix:
     return DensityMatrix(np.outer(vec, vec.conj()), (d, d))
 
 
-def isotropic(params: IsotropicParams) -> DensityMatrix:
-    """The isotropic state (1 - p) I / d^2 + p |Psi+><Psi+|.
+def isotropic(d: int, p: float) -> DensityMatrix:
+    """The isotropic state (1 - p) I / d^2 + p |Psi+><Psi+|, integer d >= 2.
 
     Spectrum: (1 - p) / d^2 with multiplicity d^2 - 1, and (1 - p) / d^2 + p
     once, so the result is a valid state for every p in [0, 1].
     """
-    d, p = int(params.d), float(params.p)
-    noise = identity(d * d) * ((1.0 - p) / (d * d))
-    return DensityMatrix(noise + p * max_entangled(d).matrix, (d, d))
+    psi = max_entangled(d)
+    if not 0.0 <= p <= 1.0:
+        raise InvalidStateError(f"p must lie in [0, 1], got {p}")
+    d, p = int(d), float(p)
+    noise = np.eye(d * d, dtype=complex) * ((1.0 - p) / (d * d))
+    return DensityMatrix(noise + p * psi.matrix, (d, d))
 
 
 def state_diagnostics(m) -> dict:

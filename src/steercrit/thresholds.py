@@ -37,19 +37,6 @@ from .families import (
 )
 from .inference import MODE_CONDITIONAL_MEAN, MODE_LINEAR_G
 
-__all__ = [
-    "ThresholdError",
-    "SweepRow",
-    "SweepResult",
-    "ThresholdResult",
-    "MAX_SWEEP_STEPS",
-    "resolve_family",
-    "family_evaluator",
-    "sweep",
-    "find_threshold",
-    "bisect_threshold",
-    "sweep_csv_text",
-]
 
 DEFAULT_TOL = 1e-9
 # a sweep holds every grid point's tables at once
@@ -159,12 +146,10 @@ def sweep(
     p_start: float = 0.0,
     p_end: float = 1.0,
     steps: int = 101,
-    jobs: int = 1,
 ) -> SweepResult:
     """Evaluate the criterion on a uniform inclusive grid of p values.
 
-    jobs is validated and otherwise ignored: the grid is evaluated in one
-    vectorised single-threaded pass, so the output never depends on it.
+    The grid is evaluated in one vectorised single-threaded pass.
     """
     if not (0.0 <= p_start < p_end <= 1.0):
         raise FamilyError(
@@ -174,8 +159,6 @@ def sweep(
         raise FamilyError(
             f"steps must be an integer in [2, {MAX_SWEEP_STEPS}], got {steps}"
         )
-    if int(jobs) != jobs or jobs < 1:
-        raise FamilyError(f"jobs must be an integer >= 1, got {jobs}")
     sides = _family_sides(resolve_family(family, d), criterion, mode)
     grid = np.linspace(p_start, p_end, int(steps))
     lhs, rhs = sides(grid)

@@ -295,8 +295,8 @@ def test_criterion_9_discrepancy_surfaced_and_regression_pinned():
 
 def test_criterion_10_sweep_performance():
     t0 = perf_counter()
-    r2 = sweep("isotropic", 2, steps=1000, jobs=1)
-    r3 = sweep("isotropic", 3, steps=1000, jobs=1)
+    r2 = sweep("isotropic", 2, steps=1000)
+    r3 = sweep("isotropic", 3, steps=1000)
     elapsed = perf_counter() - t0
     ok = elapsed < 1.0 and len(r2.rows) == 1000 and len(r3.rows) == 1000
     _report(

@@ -10,7 +10,6 @@ import pytest
 import steercrit.cli
 from steercrit import (
     DensityMatrix,
-    IsotropicParams,
     Observable,
     ThresholdError,
     evaluate_srur,
@@ -120,7 +119,7 @@ def test_threshold_tol_flag(capsys):
 
 def test_validate_state_valid(tmp_path, capsys):
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(state_to_json(isotropic(IsotropicParams(d=2, p=0.3)))))
+    path.write_text(json.dumps(state_to_json(isotropic(2, 0.3))))
     rc, out, _ = run(capsys, "validate-state", "--state", str(path))
     assert rc == 0
     blob = json.loads(out)
@@ -166,12 +165,28 @@ def test_validate_state_malformed(tmp_path, capsys):
         assert rc == 2
         assert "error:" in err and "Traceback" not in err
 
+    # matrix entries that are not finite JSON numbers
+    for entry in (float("nan"), None, float("inf"), "1"):
+        state = state_to_json(isotropic(2, 0.3))
+        state["matrix"][0][0][0] = entry
+        path.write_text(json.dumps(state))
+        rc, _, err = run(capsys, "validate-state", "--state", str(path))
+        assert rc == 2, entry
+        assert "error:" in err and "Traceback" not in err
+
+    # an observable file must hold exactly two observables
+    obs_path.write_text(json.dumps(good + [good[0]]))
+    rc, _, err = run(capsys, "evaluate", "--family", "file",
+                     "--state", str(state_path), "--observables", str(obs_path))
+    assert rc == 2
+    assert "error:" in err and "Traceback" not in err
+
 
 def _write_family_files(tmp_path, p=0.7):
     state_path = tmp_path / "state.json"
     obs_path = tmp_path / "obs.json"
     state_path.write_text(
-        json.dumps(state_to_json(isotropic(IsotropicParams(d=2, p=p))))
+        json.dumps(state_to_json(isotropic(2, p)))
     )
     obs_path.write_text(
         json.dumps([observable_to_json(spin_half("x")), observable_to_json(spin_half("z"))])
@@ -298,6 +313,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("sweep", "--d", "2", "--steps", "1", "--out", str(tmp_path / "s.csv")),
         ("sweep", "--d", "2", "--jobs", "0", "--out", str(tmp_path / "s.csv")),
         ("sweep", "--d", "2", "--steps", "1000001", "--out", str(tmp_path / "s.csv")),
+        # unwritable output paths
+        ("sweep", "--d", "2", "--out", str(tmp_path / "missing_dir" / "x.csv")),
+        ("evaluate", "--d", "2", "--p", "0.7", "--audit",
+         "--out", str(tmp_path / "missing_dir" / "a.json")),
         ("threshold", "--d", "2", "--tol", "0"),
         ("threshold", "--d", "2", "--tol", "nan"),
         ("threshold", "--d", "2", "--tol", "inf"),

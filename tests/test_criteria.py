@@ -11,7 +11,6 @@ from steercrit import (
     CRITERION_HUR,
     CRITERION_SRUR,
     InferenceError,
-    IsotropicParams,
     evaluate_criterion,
     evaluate_srur,
     full_moments,
@@ -29,7 +28,7 @@ from conftest import random_density, random_observable
 
 
 def _qubit(p: float):
-    return isotropic(IsotropicParams(d=2, p=p)), spin_half("x"), spin_half("z")
+    return isotropic(2, p), spin_half("x"), spin_half("z")
 
 
 def test_white_noise_is_not_violated():
@@ -66,7 +65,7 @@ def test_hur_bound_never_exceeds_srur_bound():
 
 
 def test_conditional_mean_mode_uses_min_variances():
-    rho = isotropic(IsotropicParams(d=3, p=0.6))
+    rho = isotropic(3, 0.6)
     b1, b2, _ = qutrit_triplet()
     report = evaluate_srur(rho, b1, b2, mode="conditional-mean")
     m = report.moments

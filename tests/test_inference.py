@@ -9,6 +9,8 @@ test_oracle.py).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from steercrit import (
     DensityMatrix,
     InferenceError,
     InferredMoments,
-    IsotropicParams,
     MeasurementSettings,
     Observable,
     ObservablePairing,
@@ -49,13 +50,13 @@ def test_bell_state_perfectly_correlated_in_z():
 
 
 def test_white_noise_is_uniform():
-    rho = isotropic(IsotropicParams(d=2, p=0.0))
+    rho = isotropic(2, 0.0)
     jd = joint_distribution(rho, _pairing(spin_half("x")))
     np.testing.assert_allclose(jd.probs, np.full((2, 2), 0.25), atol=1e-12)
 
 
 def test_qutrit_marginals_are_uniform():
-    rho = isotropic(IsotropicParams(d=3, p=0.4))
+    rho = isotropic(3, 0.4)
     b1 = qutrit_triplet()[0]
     jd = joint_distribution(rho, _pairing(b1))
     np.testing.assert_allclose(jd.probs.sum(axis=1), np.full(3, 1 / 3), atol=1e-12)
@@ -63,7 +64,7 @@ def test_qutrit_marginals_are_uniform():
 
 
 def test_joint_distribution_rejects_mismatch():
-    rho = isotropic(IsotropicParams(d=3, p=0.5))
+    rho = isotropic(3, 0.5)
     with pytest.raises(InferenceError):
         joint_distribution(rho, _pairing(spin_half("x")))
     single = DensityMatrix(np.eye(2) / 2, dims=(2,))
@@ -73,7 +74,7 @@ def test_joint_distribution_rejects_mismatch():
 
 def test_conditional_mean_scales_with_p():
     p = 0.6
-    rho = isotropic(IsotropicParams(d=2, p=p))
+    rho = isotropic(2, p)
     jd = joint_distribution(rho, _pairing(spin_half("z")))
     # <B | A = a> = sum_b P(a, b) b / P(a), for a = +1/2 and -1/2
     means = jd.probs @ np.asarray(jd.bob_outcomes) / jd.probs.sum(axis=1)
@@ -94,7 +95,7 @@ def test_reid_g_equals_p_on_isotropic():
     b1, b2, _ = qutrit_triplet()
     for d, pair in ((2, (spin_half("x"), spin_half("z"))), (3, (b1, b2))):
         for p in (0.0, 0.37, 1.0):
-            m = full_moments(isotropic(IsotropicParams(d=d, p=p)), *pair)
+            m = full_moments(isotropic(d, p), *pair)
             assert m.g1 == pytest.approx(p, abs=1e-12)
             assert m.g2 == pytest.approx(p, abs=1e-12)
 
@@ -108,14 +109,14 @@ def test_reid_g_vanishes_on_product_noise():
 def test_reid_g_guards_vanishing_alice_power():
     zero = Observable("zero", np.zeros((2, 2)))
     rule = explicit_pairing({"Sz": zero, "Sx": spin_half("x").transpose()})
-    rho = isotropic(IsotropicParams(d=2, p=0.5))
+    rho = isotropic(2, 0.5)
     with pytest.raises(InferenceError, match="<A\\^2>"):
         full_moments(rho, spin_half("z"), spin_half("x"), rule)
 
 
 def test_inferred_variances_on_qubit_family():
     p = 0.3
-    rho = isotropic(IsotropicParams(d=2, p=p))
+    rho = isotropic(2, p)
     m = full_moments(rho, spin_half("x"), spin_half("z"))
     want = (1 - p * p) / 4
     for value in (m.var_inf_b1, m.var_inf_b2, m.var_min_b1, m.var_min_b2):
@@ -124,7 +125,7 @@ def test_inferred_variances_on_qubit_family():
 
 def test_inferred_variances_on_qutrit_family():
     p = 0.5
-    rho = isotropic(IsotropicParams(d=3, p=p))
+    rho = isotropic(3, p)
     b1, b2, _ = qutrit_triplet()
     m = full_moments(rho, b1, b2)
     assert m.var_inf_b1 == pytest.approx((2 / 3) * (1 - p * p), abs=1e-12)
@@ -135,7 +136,7 @@ def test_inferred_variances_on_qutrit_family():
 
 def test_inferred_abs_mean_of_commutator():
     p = 0.44
-    rho = isotropic(IsotropicParams(d=2, p=p))
+    rho = isotropic(2, p)
     m = full_moments(rho, spin_half("x"), spin_half("z"))
     assert m.abs_mean_inf_commutator == pytest.approx(p / 2, abs=1e-12)
 
@@ -143,24 +144,24 @@ def test_inferred_abs_mean_of_commutator():
 def test_inferred_mean_of_identity_is_one():
     # {1, 1} = 2 * 1, so its inferred mean is twice that of the identity
     one = Observable("one", np.eye(2))
-    rho = isotropic(IsotropicParams(d=2, p=0.8))
+    rho = isotropic(2, 0.8)
     m = full_moments(rho, one, one)
     assert m.mean_inf_anticommutator == pytest.approx(2.0, abs=1e-12)
 
 
 def test_inferred_mean_of_vanishing_anticommutator():
-    rho = isotropic(IsotropicParams(d=2, p=0.8))
+    rho = isotropic(2, 0.8)
     m = full_moments(rho, spin_half("x"), spin_half("z"))
     assert m.mean_inf_anticommutator == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inferred_sq_mean_values():
     p = 0.8
-    rho2 = isotropic(IsotropicParams(d=2, p=p))
+    rho2 = isotropic(2, p)
     m2 = full_moments(rho2, spin_half("x"), spin_half("z"))
     assert m2.sq_mean_inf_b1 == pytest.approx(p * p / 4, abs=1e-12)
     p = 0.6
-    rho3 = isotropic(IsotropicParams(d=3, p=p))
+    rho3 = isotropic(3, p)
     b1, b2, _ = qutrit_triplet()
     m3 = full_moments(rho3, b1, b2)
     assert m3.sq_mean_inf_b1 == pytest.approx(2 * p * p / 3, abs=1e-12)
@@ -171,20 +172,21 @@ def test_product_of_means_vanishes_on_both_families():
     b1, b2, _ = qutrit_triplet()
     for d, (o1, o2) in ((2, (sx, sz)), (3, (b1, b2))):
         for p in (0.0, 0.5, 0.9, 1.0):
-            rho = isotropic(IsotropicParams(d=d, p=p))
+            rho = isotropic(d, p)
             assert abs(full_moments(rho, o1, o2).product_of_means_inf) < 1e-12
 
 
 def test_measurement_settings_labels():
     settings_ = MeasurementSettings.build(spin_half("x"), spin_half("z"))
-    assert settings_.pair_commutator.bob.label == "-i[Sx,Sz]"
-    assert settings_.pair_commutator.alice.label == "-i[Sx^T,Sz^T]"
-    assert settings_.pair_difference.bob.label == "Sx-Sz"
-    assert settings_.pair_anticommutator.bob.label == "{Sx,Sz}"
+    assert list(settings_.pairs) == ["b1", "b2", "commutator", "anticommutator", "difference"]
+    assert settings_.pairs["commutator"].bob.label == "-i[Sx,Sz]"
+    assert settings_.pairs["commutator"].alice.label == "-i[Sx^T,Sz^T]"
+    assert settings_.pairs["difference"].bob.label == "Sx-Sz"
+    assert settings_.pairs["anticommutator"].bob.label == "{Sx,Sz}"
 
 
 def test_full_moments_at_p0():
-    rho = isotropic(IsotropicParams(d=2, p=0.0))
+    rho = isotropic(2, 0.0)
     m = full_moments(rho, spin_half("x"), spin_half("z"))
     assert m.var_inf_b1 == pytest.approx(0.25, abs=1e-12)
     assert m.var_inf_b2 == pytest.approx(0.25, abs=1e-12)
@@ -197,7 +199,7 @@ def test_full_moments_at_p0():
 
 
 def test_full_moments_at_p1_has_zero_inferred_variance():
-    rho = isotropic(IsotropicParams(d=2, p=1.0))
+    rho = isotropic(2, 1.0)
     m = full_moments(rho, spin_half("x"), spin_half("z"))
     assert m.var_inf_b1 == pytest.approx(0.0, abs=1e-12)
     assert m.var_min_b1 == pytest.approx(0.0, abs=1e-12)
@@ -205,9 +207,9 @@ def test_full_moments_at_p1_has_zero_inferred_variance():
 
 
 def test_full_moments_as_dict_field_names():
-    rho = isotropic(IsotropicParams(d=2, p=0.5))
+    rho = isotropic(2, 0.5)
     m = full_moments(rho, spin_half("x"), spin_half("z"))
-    assert tuple(m.as_dict()) == InferredMoments.NUMERIC_FIELDS
+    assert tuple(m.as_dict()) == tuple(f.name for f in dataclasses.fields(InferredMoments))
 
 
 def test_moment_batch_reports_first_failing_state():
@@ -217,7 +219,7 @@ def test_moment_batch_reports_first_failing_state():
         # Sz (x) Sz cell (-1/2, -1/2) is -eps
         return np.diag([0.5, 0.5 + eps, 0.0, -eps]).astype(complex)
 
-    good = isotropic(IsotropicParams(d=2, p=0.5)).matrix
+    good = isotropic(2, 0.5).matrix
     raw = joint_tables(settings_, np.stack([good, below_zero(1e-3), below_zero(2e-3)]))
     with pytest.raises(InferenceError, match="negative joint probability -1.000e-03"):
         moment_batch(settings_, raw, 4)

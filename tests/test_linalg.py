@@ -1,4 +1,4 @@
-"""Hermitian linear algebra: operations, partial trace, eigensolver."""
+"""Hermitian linear algebra: matrix coercion and the eigensolver."""
 
 from __future__ import annotations
 
@@ -11,9 +11,6 @@ from steercrit import (
     LinalgError,
     commutator_observable,
     eig_hermitian,
-    identity,
-    kron,
-    partial_trace,
     qutrit_triplet,
     spin_half,
 )
@@ -45,50 +42,9 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[np.nan, 0], [0, 0]])
 
 
-def test_identity():
-    np.testing.assert_array_equal(identity(3), np.eye(3, dtype=complex))
-
-
 def test_shape_mismatch_raises():
     with pytest.raises(LinalgError):
         commutator_observable(spin_half("x"), qutrit_triplet()[0])
-
-
-def test_kron_mixed_product(rng):
-    a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
-    c, d = random_hermitian(rng, 2), random_hermitian(rng, 3)
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_partial_trace_of_product_state(rng):
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    ab = kron(a, b)
-    np.testing.assert_allclose(
-        partial_trace(ab, (2, 3), "A"), a * np.trace(b), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        partial_trace(ab, (2, 3), "B"), b * np.trace(a), atol=1e-12
-    )
-
-
-def test_partial_trace_bell_marginals():
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1 / np.sqrt(2)
-    rho = np.outer(v, v.conj())
-    for keep in ("A", "B"):
-        np.testing.assert_allclose(
-            partial_trace(rho, (2, 2), keep), np.eye(2) / 2, atol=1e-15
-        )
-
-
-def test_partial_trace_rejects_bad_args():
-    with pytest.raises(LinalgError):
-        partial_trace(np.eye(4), (2, 3), "A")
-    with pytest.raises(LinalgError):
-        partial_trace(np.eye(4), (2, 2), "C")
 
 
 def test_eig_sigma_z():

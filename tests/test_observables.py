@@ -9,7 +9,6 @@ import pytest
 
 from steercrit import (
     FAMILY_QUBIT_XZ,
-    IsotropicParams,
     LinalgError,
     Observable,
     ObservablePairing,
@@ -20,7 +19,6 @@ from steercrit import (
     expectation,
     explicit_pairing,
     isotropic,
-    kron,
     observable_from_json,
     observable_to_json,
     qutrit_triplet,
@@ -109,9 +107,9 @@ def test_default_pairing_transposes():
 def test_default_pairing_correlates_on_isotropic():
     # <A x B> = p Tr[B^T B] / d for the transpose rule on isotropic states
     p = 0.8
-    rho = isotropic(IsotropicParams(d=2, p=p))
+    rho = isotropic(2, p)
     sx = spin_half("x")
-    joint = kron(default_pairing(sx).alice.matrix, sx.matrix)
+    joint = np.kron(default_pairing(sx).alice.matrix, sx.matrix)
     assert expectation(rho, joint) == pytest.approx(p / 4, abs=1e-12)
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from steercrit import (
     DensityMatrix,
     InferredMoments,
-    IsotropicParams,
     Observable,
     OracleError,
     audit_dump,
@@ -52,7 +53,7 @@ def test_uniform_table_on_mixed_qutrits():
 
 
 def test_isotropic_qubit_table_in_x():
-    rho = isotropic(IsotropicParams(d=2, p=0.5))
+    rho = isotropic(2, 0.5)
     table = enumerate_table(rho, default_pairing(spin_half("x")))
     assert _prob_of(table, 0.5, 0.5) == pytest.approx(3 / 8, abs=1e-12)
     assert _prob_of(table, -0.5, -0.5) == pytest.approx(3 / 8, abs=1e-12)
@@ -83,14 +84,14 @@ def test_enumerate_table_rejects_mismatch():
 
 
 def test_oracle_moment_keys_match_engine_record():
-    rho = isotropic(IsotropicParams(d=2, p=0.3))
+    rho = isotropic(2, 0.3)
     got = oracle_moments(rho, spin_half("x"), spin_half("z"))
-    assert tuple(got) == InferredMoments.NUMERIC_FIELDS
+    assert tuple(got) == tuple(f.name for f in dataclasses.fields(InferredMoments))
 
 
 def test_oracle_pins_isotropic_qutrit():
     p = 0.9
-    rho = isotropic(IsotropicParams(d=3, p=p))
+    rho = isotropic(3, p)
     b1, b2, _ = qutrit_triplet()
     got = oracle_moments(rho, b1, b2)
     assert got["sq_mean_inf_b1"] == pytest.approx(2 * p * p / 3, abs=1e-12)
@@ -132,7 +133,7 @@ def test_oracle_matches_engine_on_random_instances(rng):
 
 
 def test_audit_dump_structure():
-    rho = isotropic(IsotropicParams(d=2, p=0.4))
+    rho = isotropic(2, 0.4)
     dump = audit_dump(rho, spin_half("x"), spin_half("z"))
     assert set(dump) == {"tables", "moments"}
     assert set(dump["tables"]) == {
@@ -145,4 +146,4 @@ def test_audit_dump_structure():
     entry = dump["tables"]["b1"]
     assert entry["bob"] == "Sx"
     assert entry["alice"] == "Sx^T"
-    assert tuple(dump["moments"]) == InferredMoments.NUMERIC_FIELDS
+    assert tuple(dump["moments"]) == tuple(f.name for f in dataclasses.fields(InferredMoments))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from steercrit import (
     DensityMatrix,
     InvalidStateError,
-    IsotropicParams,
     eig_hermitian,
     isotropic,
     max_entangled,
@@ -23,6 +22,11 @@ from steercrit import (
 )
 
 from conftest import random_bipartite
+
+
+def _marginal(rho, keep):
+    t = rho.matrix.reshape(rho.dims + rho.dims)
+    return np.einsum("ikjk->ij" if keep == "A" else "ikil->kl", t)
 
 
 def test_max_entangled_qubit_entries():
@@ -41,22 +45,22 @@ def test_max_entangled_is_pure_with_uniform_marginals():
         assert purity == pytest.approx(1.0, abs=1e-12)
         for keep in ("A", "B"):
             np.testing.assert_allclose(
-                rho.reduced(keep), np.eye(d) / d, atol=1e-12
+                _marginal(rho, keep), np.eye(d) / d, atol=1e-12
             )
 
 
 def test_isotropic_p0_is_maximally_mixed():
-    rho = isotropic(IsotropicParams(d=2, p=0.0))
+    rho = isotropic(2, 0.0)
     np.testing.assert_allclose(rho.matrix, np.eye(4) / 4, atol=1e-15)
 
 
 def test_isotropic_p1_is_max_entangled():
-    rho = isotropic(IsotropicParams(d=3, p=1.0))
+    rho = isotropic(3, 1.0)
     np.testing.assert_allclose(rho.matrix, max_entangled(3).matrix, atol=1e-15)
 
 
 def test_isotropic_qutrit_spectrum():
-    rho = isotropic(IsotropicParams(d=3, p=0.5))
+    rho = isotropic(3, 0.5)
     dec = eig_hermitian(rho.matrix)
     assert len(dec.eigenvalues) == 2
     assert dec.eigenvalues[0] == pytest.approx(1 / 18 + 0.5, abs=1e-12)
@@ -66,20 +70,22 @@ def test_isotropic_qutrit_spectrum():
 
 
 def test_isotropic_marginals_are_maximally_mixed():
-    rho = isotropic(IsotropicParams(d=3, p=0.7))
+    rho = isotropic(3, 0.7)
     for keep in ("A", "B"):
         np.testing.assert_allclose(
-            rho.reduced(keep), np.eye(3) / 3, atol=1e-12
+            _marginal(rho, keep), np.eye(3) / 3, atol=1e-12
         )
 
 
 def test_isotropic_params_validation():
-    with pytest.raises(InvalidStateError):
-        IsotropicParams(d=1, p=0.5)
-    with pytest.raises(InvalidStateError):
-        IsotropicParams(d=2, p=-0.1)
-    with pytest.raises(InvalidStateError):
-        IsotropicParams(d=2, p=1.2)
+    with pytest.raises(InvalidStateError, match=r"d must be an integer >= 2, got 1$"):
+        isotropic(1, 0.5)
+    with pytest.raises(InvalidStateError, match=r"d must be an integer >= 2, got 2.5$"):
+        isotropic(2.5, 1.2)  # d is checked before p
+    with pytest.raises(InvalidStateError, match=r"p must lie in \[0, 1\], got -0.1$"):
+        isotropic(2, -0.1)
+    with pytest.raises(InvalidStateError, match=r"p must lie in \[0, 1\], got 1.2$"):
+        isotropic(2, 1.2)
 
 
 def test_density_matrix_rejects_bad_inputs():
@@ -146,6 +152,6 @@ def test_state_from_json_rejects_malformed():
     p=st.floats(0.0, 1.0, allow_nan=False),
 )
 def test_isotropic_is_always_a_valid_state(d, p):
-    rho = isotropic(IsotropicParams(d=d, p=p))
+    rho = isotropic(d, p)
     validate(rho.matrix, dims=(d, d))
     assert state_diagnostics(rho.matrix)["valid"]

@@ -131,6 +131,12 @@ def _write_file(path, write) -> None:
         raise _ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _check_out_dir(path: Path) -> None:
+    """Fail before any work, not after it, when path's directory is missing."""
+    if not path.parent.is_dir():
+        raise _ConfigError(f"cannot write {path}: no directory {path.parent}")
+
+
 def _check_isotropic_dim(d: int | None) -> int:
     if d is None:
         raise _ConfigError("--family isotropic requires --d")
@@ -161,6 +167,8 @@ def _cmd_evaluate(args) -> int:
         raise _ConfigError("--audit requires --out for the audit bundle")
     if not args.audit and args.out is not None:
         raise _ConfigError("--out on evaluate is only used with --audit")
+    if args.audit:
+        _check_out_dir(args.out)
 
     if args.mode == MODE_CLOSED_FORM and args.family != "isotropic":
         raise _ConfigError("mode paper-closed-form requires --family isotropic")
@@ -241,6 +249,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out_dir(args.out)
     d = _check_isotropic_dim(args.d)
     if args.jobs < 1:
         raise _ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")

@@ -93,13 +93,13 @@ def _table_checks(raw: np.ndarray, dim: int) -> list:
 
 
 def _order_checks(fields: dict) -> list:
-    """var_inf >= var_min - VARIANCE_ORDER_TOL, for float or (N,) fields."""
+    """var_inf >= var_min - VARIANCE_ORDER_TOL * max(1, |var_min|), float or (N,)."""
     checks = []
     for key in ("b1", "b2"):
         inf = np.atleast_1d(fields[f"var_inf_{key}"])
         low = np.atleast_1d(fields[f"var_min_{key}"])
         checks.append((
-            inf < low - VARIANCE_ORDER_TOL,
+            inf < low - VARIANCE_ORDER_TOL * np.maximum(1.0, np.abs(low)),
             lambda i, key=key, inf=inf, low=low: (
                 f"var_inf_{key} {float(inf[i])!r} below var_min_{key} {float(low[i])!r}"
             ),

@@ -1,23 +1,18 @@
 """Dense complex linear algebra for small Hermitian problems.
 
 Everything operates on square numpy arrays with complex entries and never
-mutates its arguments. The eigensolver is a cyclic Jacobi iteration: simple,
-robust and entirely adequate for the dimensions this package deals with
-(<= ~16). Validation thresholds use the max-absolute-entry norm throughout.
+mutates its arguments. Eigenvalues and eigenvectors come from LAPACK
+(np.linalg.eigh); eig_hermitian then merges near-degenerate outcomes.
+Validation thresholds use the max-absolute-entry norm throughout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tolerances import DEGENERACY_TOL, HERMITICITY_TOL
-
-
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFFDIAG_TOL = 1e-14
 
 
 class LinalgError(ValueError):
@@ -48,17 +43,24 @@ def matrix_from_json(rows) -> np.ndarray:
     """Parse a square JSON grid of [re, im] pairs; LinalgError if malformed.
 
     Entries must be finite JSON numbers: strings, null, booleans, NaN and
-    Infinity are rejected rather than converted.
+    Infinity are rejected rather than converted. An integer of any size is
+    a number; one too large for a double is not finite.
     """
     try:
-        arr = np.asarray(rows)
+        arr = np.asarray(rows, dtype=object)
     except (TypeError, ValueError) as exc:
         raise LinalgError(f"bad matrix JSON: {exc}") from None
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-        raise LinalgError("matrix JSON entries must be finite numbers")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise LinalgError("matrix JSON must be a square grid of [re, im] pairs")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    try:
+        # type(), not isinstance(): a JSON boolean is a Python int subclass
+        numbers = all(type(x) in (int, float) for x in arr.flat)
+        values = arr.astype(float) if numbers else None
+    except OverflowError:  # an integer beyond the double range
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise LinalgError("matrix JSON entries must be finite numbers")
+    return values[:, :, 0] + 1j * values[:, :, 1]
 
 
 @dataclass(frozen=True)
@@ -74,70 +76,6 @@ class SpectralDecomposition:
     projectors: tuple[np.ndarray, ...]
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    b = np.abs(a).copy()
-    np.fill_diagonal(b, 0.0)
-    return float(b.max())
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Apply one complex Jacobi rotation zeroing a[p, q] (and a[q, p])."""
-    apq = a[p, q]
-    r = abs(apq)
-    phase = apq / r
-    theta = 0.5 * math.atan2(2.0 * r, a[q, q].real - a[p, p].real)
-    c = math.cos(theta)
-    s = math.sin(theta) * phase
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - np.conj(s) * col_q
-    a[:, q] = s * col_p + c * col_q
-
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = np.conj(s) * row_p + c * row_q
-
-    # analytically zero after the rotation; enforce to stop roundoff creep
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = c * col_p - np.conj(s) * col_q
-    v[:, q] = s * col_p + c * col_q
-
-
-def _jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
-    """
-    n = m.shape[0]
-    a = np.array(m, dtype=complex)
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-    # threshold scaled by the largest initial entry so convergence is
-    # insensitive to an overall rescaling of the input
-    stop = _JACOBI_OFFDIAG_TOL * max(1.0, max_abs(a))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _max_offdiag(a) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > stop:
-                    _rotate(a, v, p, q)
-    else:
-        raise LinalgError(
-            f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-    return np.real(np.diag(a)), v
-
-
 def eig_hermitian(a) -> SpectralDecomposition:
     """Spectral decomposition with near-degenerate eigenvalues merged.
 
@@ -150,10 +88,14 @@ def eig_hermitian(a) -> SpectralDecomposition:
     if residual >= HERMITICITY_TOL:
         raise LinalgError(f"matrix is not Hermitian (residual {residual:.3e})")
 
-    evals, vecs = _jacobi_eigh(m)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    vecs = vecs[:, order]
+    # the Hermitian part, so the result does not depend on which triangle
+    # LAPACK reads; ascending output is reversed to descending
+    try:
+        evals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"eigensolve failed: {exc}") from None
+    evals = evals[::-1]
+    vecs = vecs[:, ::-1]
 
     groups: list[list[int]] = [[0]]
     for i in range(1, evals.size):

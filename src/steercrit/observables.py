@@ -51,8 +51,6 @@ class Observable:
 
     @cached_property
     def spectral(self) -> SpectralDecomposition:
-        # cached_property writes straight into __dict__, so concurrent first
-        # access can at worst recompute the same value (single-assignment)
         return eig_hermitian(self.matrix)
 
     @property

@@ -15,7 +15,7 @@ TRACE_TOL = 1e-10
 # a state is positive when its smallest eigenvalue is >= -PSD_TOL
 PSD_TOL = 1e-10
 # eigenvalues closer than this are one measurement outcome and share a
-# projector; far above the Jacobi solver's ~1e-14 accuracy, far below any
+# projector; far above LAPACK eigh's ~1e-15 accuracy at unit scale, far below any
 # physical spectral gap of the built-in observables
 DEGENERACY_TOL = 1e-8
 # A state that validate() accepts has eigenvalues >= -PSD_TOL, so a table
@@ -24,8 +24,10 @@ DEGENERACY_TOL = 1e-8
 PROB_CLAMP = 1e-12
 # |sum of a raw joint table - 1| below which the table counts as normalised
 NORMALIZATION_TOL = 1e-10
-# var_inf >= var_min must hold up to this roundoff (the conditional-mean
-# estimator is optimal, so the linear one can only tie it exactly)
+# var_inf >= var_min must hold up to this roundoff, relative to max(1,
+# |var_min|): the conditional-mean estimator is optimal, so the linear one
+# can only tie it exactly, and both carry roundoff proportional to their size
+# (observables scaled by s give variances of order s^2)
 VARIANCE_ORDER_TOL = 1e-10
 # <A^2> at or below this leaves the estimator slope g = <A B> / <A^2>
 # undefined (Alice's observable vanishes on the state)

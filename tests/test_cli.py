@@ -165,14 +165,23 @@ def test_validate_state_malformed(tmp_path, capsys):
         assert rc == 2
         assert "error:" in err and "Traceback" not in err
 
-    # matrix entries that are not finite JSON numbers
-    for entry in (float("nan"), None, float("inf"), "1"):
+    # matrix entries that are not finite JSON numbers; 10**400 overflows a double
+    for entry in (float("nan"), None, float("inf"), "1", True, 10**400):
         state = state_to_json(isotropic(2, 0.3))
         state["matrix"][0][0][0] = entry
         path.write_text(json.dumps(state))
         rc, _, err = run(capsys, "validate-state", "--state", str(path))
         assert rc == 2, entry
         assert "error:" in err and "Traceback" not in err
+
+    # an integer too large for int64 is still a finite number: the state
+    # parses and is reported as not Hermitian
+    state = state_to_json(isotropic(2, 0.3))
+    state["matrix"][0][1][0] = 10**20
+    path.write_text(json.dumps(state))
+    rc, out, _ = run(capsys, "validate-state", "--state", str(path))
+    assert rc == 1
+    assert json.loads(out)["valid"] is False
 
     # an observable file must hold exactly two observables
     obs_path.write_text(json.dumps(good + [good[0]]))
@@ -313,10 +322,6 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("sweep", "--d", "2", "--steps", "1", "--out", str(tmp_path / "s.csv")),
         ("sweep", "--d", "2", "--jobs", "0", "--out", str(tmp_path / "s.csv")),
         ("sweep", "--d", "2", "--steps", "1000001", "--out", str(tmp_path / "s.csv")),
-        # unwritable output paths
-        ("sweep", "--d", "2", "--out", str(tmp_path / "missing_dir" / "x.csv")),
-        ("evaluate", "--d", "2", "--p", "0.7", "--audit",
-         "--out", str(tmp_path / "missing_dir" / "a.json")),
         ("threshold", "--d", "2", "--tol", "0"),
         ("threshold", "--d", "2", "--tol", "nan"),
         ("threshold", "--d", "2", "--tol", "inf"),
@@ -326,6 +331,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
         rc, _, err = run(capsys, *argv)
         assert rc == 2, argv
         assert "error:" in err, argv
+
+
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before --out was checked")
+
+    monkeypatch.setattr(steercrit.cli, "sweep", no_sweep)
+    missing = tmp_path / "missing_dir"
+    for argv in (
+        ("sweep", "--d", "3", "--out", str(missing / "x.csv")),
+        ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(missing / "a.json")),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert "error: cannot write" in err, argv
 
 
 def _observable_json(label, matrix):

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 from steercrit import (
     CRITERION_HUR,
     CRITERION_SRUR,
+    FAMILIES,
+    MODE_CONDITIONAL_MEAN,
+    MODE_LINEAR_G,
     InferenceError,
+    Observable,
     evaluate_criterion,
     evaluate_srur,
+    family_observables,
+    family_state,
     full_moments,
     hur_rhs,
     isotropic,
@@ -78,6 +84,21 @@ def test_linear_mode_uses_linear_variances():
     report = evaluate_srur(rho, b1, b2, mode="linear-g")
     m = report.moments
     assert report.lhs == pytest.approx(m.var_inf_b1 * m.var_inf_b2, abs=1e-15)
+
+
+@pytest.mark.parametrize("mode", (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_margin_scales_with_observables(family, mode):
+    # both sides are quartic in (B1, B2), so margin / s^4 must not depend on
+    # s; the variance order check has to scale with the variances too
+    rho = family_state(family, 0.95)
+    b1, b2 = family_observables(family)
+    base = evaluate_srur(rho, b1, b2, mode=mode).margin
+    for s in (1e2, 1e3, 1e4, 1e5):
+        scaled = evaluate_srur(
+            rho, Observable("B1", s * b1.matrix), Observable("B2", s * b2.matrix), mode=mode
+        )
+        assert scaled.margin / s**4 == pytest.approx(base, rel=1e-9)
 
 
 def test_violated_iff_negative_margin():

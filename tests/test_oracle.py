@@ -7,13 +7,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from steercrit import observables
 from steercrit import (
     DensityMatrix,
     InferredMoments,
     Observable,
     OracleError,
+    SpectralDecomposition,
     audit_dump,
     default_pairing,
+    eig_hermitian,
     enumerate_table,
     explicit_pairing,
     full_moments,
@@ -147,3 +150,57 @@ def test_audit_dump_structure():
     assert entry["bob"] == "Sx"
     assert entry["alice"] == "Sx^T"
     assert tuple(dump["moments"]) == tuple(f.name for f in dataclasses.fields(InferredMoments))
+
+
+def _trace_gap(rho, b1, b2) -> float:
+    """Largest |engine - plain trace| over g and var_inf of both settings.
+
+    With A = B^T (the default pairing), g = tr[rho(A x B)] / tr[rho(A^2 x I)]
+    and var_inf = tr[rho(I x B^2)] - g tr[rho(A x B)]. No spectral
+    decomposition is involved, so an eigensolver fault cannot cancel out.
+    """
+    engine = full_moments(rho, b1, b2).as_dict()
+    eye = np.eye(b1.dim)
+
+    def trace(x):
+        return np.trace(rho.matrix @ x).real
+
+    gap = 0.0
+    for n, bob in ((1, b1.matrix), (2, b2.matrix)):
+        alice = bob.T
+        ab = trace(np.kron(alice, bob))
+        g = ab / trace(np.kron(alice @ alice, eye))
+        var = trace(np.kron(eye, bob @ bob)) - g * ab
+        gap = max(gap, abs(engine[f"g{n}"] - g), abs(engine[f"var_inf_b{n}"] - var))
+    return gap
+
+
+def _random_instances(rng, count: int):
+    for _ in range(count):
+        d = int(rng.integers(2, 4))
+        yield (
+            random_bipartite(rng, d, d),
+            random_observable(rng, d, "B1"),
+            random_observable(rng, d, "B2"),
+        )
+
+
+def test_linear_moments_match_plain_traces(rng):
+    for rho, b1, b2 in _random_instances(rng, 25):
+        assert _trace_gap(rho, b1, b2) < 1e-9
+
+
+def test_trace_check_sees_reversed_projectors(rng, monkeypatch):
+    def reversed_projectors(matrix):
+        spec = eig_hermitian(matrix)
+        return SpectralDecomposition(spec.eigenvalues, spec.projectors[::-1])
+
+    monkeypatch.setattr(observables, "eig_hermitian", reversed_projectors)
+    worst = 0.0
+    for rho, b1, b2 in _random_instances(rng, 25):
+        worst = max(worst, _trace_gap(rho, b1, b2))
+        # the oracle shares the engine's projectors, so it cannot see the fault
+        engine = full_moments(rho, b1, b2).as_dict()
+        for key, val in oracle_moments(rho, b1, b2).items():
+            assert engine[key] == pytest.approx(val, abs=1e-10), key
+    assert worst > 1e-3

@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
+import steercrit.families
 from steercrit import (
     FAMILY_QUBIT_XZ,
     FAMILY_QUTRIT_B1B2,
@@ -21,7 +23,12 @@ from steercrit import (
     sweep,
     sweep_csv_text,
 )
-from steercrit.thresholds import MAX_SWEEP_STEPS, family_evaluator, resolve_family
+from steercrit.thresholds import (
+    _TREE_DEPTH,
+    MAX_SWEEP_STEPS,
+    family_evaluator,
+    resolve_family,
+)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -30,6 +37,9 @@ ENGINE_CONFIGS = [
     for d in (2, 3)
     for mode in ("linear-g", "conditional-mean")
     for criterion in ("srur", "hur")
+]
+ALL_CONFIGS = ENGINE_CONFIGS + [
+    (d, "paper-closed-form", criterion) for d in (2, 3) for criterion in ("srur", "hur")
 ]
 
 
@@ -63,8 +73,7 @@ def test_sweep_two_point_grid():
 def test_sweep_rows_match_evaluator():
     # a sweep is one batch, the evaluator a batch of one: rows must not
     # depend on the batch size
-    closed_configs = [(d, "paper-closed-form", c) for d in (2, 3) for c in ("srur", "hur")]
-    for d, mode, criterion in ENGINE_CONFIGS + closed_configs:
+    for d, mode, criterion in ALL_CONFIGS:
         evaluator = family_evaluator(resolve_family("isotropic", d), criterion, mode)
         result = sweep("isotropic", d, criterion=criterion, mode=mode, steps=101)
         for row in result.rows:
@@ -229,3 +238,48 @@ def test_find_threshold_rejects_unknowns():
     for tol in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ThresholdError):
             find_threshold("isotropic", 2, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1e-15, 1e-300])
+@pytest.mark.parametrize("d,mode,criterion", ALL_CONFIGS)
+def test_batched_search_matches_scalar_bisection(d, mode, criterion, tol):
+    # the scalar route evaluates one p per call, in the order of the
+    # sequential bisection; 1e-300 runs into the iteration cap
+    family = resolve_family("isotropic", d)
+    evaluator = family_evaluator(family, criterion, mode)
+    scalar = bisect_threshold(lambda p: evaluator(p).margin, tol)
+    batched = find_threshold(family, criterion=criterion, mode=mode, tol=tol)
+    assert repr(batched.to_json_dict()) == repr(scalar.to_json_dict())
+
+
+@pytest.mark.parametrize("d,mode,criterion", ENGINE_CONFIGS)
+def test_engine_search_batches_its_bisection(d, mode, criterion, monkeypatch):
+    calls = []
+    real = steercrit.families.moment_batch
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(steercrit.families, "moment_batch", counted)
+    result = find_threshold("isotropic", d, criterion=criterion, mode=mode)
+    assert result.evaluations == 58
+    # one pre-sweep call, then one call per _TREE_DEPTH bisection steps
+    assert len(calls) <= 1 + math.ceil(26 / _TREE_DEPTH)
+
+
+@pytest.mark.parametrize("d,mode,criterion", ALL_CONFIGS)
+def test_threshold_matches_quartic_fit_root(d, mode, criterion):
+    # on the isotropic families every margin is a quartic in p
+    rows = sweep("isotropic", d, criterion=criterion, mode=mode, steps=2001).rows
+    p = np.array([row.p for row in rows])
+    margin = np.array([row.margin for row in rows])
+    fit = Polynomial.fit(p, margin, 4)
+    assert np.max(np.abs(fit(p) - margin)) < 1e-12
+    roots = [
+        r.real for r in fit.roots() if abs(r.imag) < 1e-12 and 0.0 <= r.real <= 1.0
+    ]
+    assert len(roots) == 1
+    result = find_threshold("isotropic", d, criterion=criterion, mode=mode)
+    assert abs(result.p_star - roots[0]) <= 1e-9
+

@@ -104,7 +104,6 @@ from .states import (
 )
 from .thresholds import (
     SweepResult,
-    SweepRow,
     ThresholdError,
     ThresholdResult,
     bisect_threshold,

@@ -132,9 +132,11 @@ def _write_file(path, write) -> None:
 
 
 def _check_out_dir(path: Path) -> None:
-    """Fail before any work, not after it, when path's directory is missing."""
+    """Fail before any work, not after it, when path cannot be written."""
     if not path.parent.is_dir():
         raise _ConfigError(f"cannot write {path}: no directory {path.parent}")
+    if path.is_dir():
+        raise _ConfigError(f"cannot write {path}: it is a directory")
 
 
 def _check_isotropic_dim(d: int | None) -> int:

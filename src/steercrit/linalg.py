@@ -97,12 +97,10 @@ def eig_hermitian(a) -> SpectralDecomposition:
     evals = evals[::-1]
     vecs = vecs[:, ::-1]
 
-    groups: list[list[int]] = [[0]]
-    for i in range(1, evals.size):
-        if evals[groups[-1][-1]] - evals[i] < DEGENERACY_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    # a new outcome starts wherever an eigenvalue is DEGENERACY_TOL or more
+    # below its neighbour
+    gaps = evals[:-1] - evals[1:] >= DEGENERACY_TOL
+    groups = np.split(np.arange(evals.size), np.flatnonzero(gaps) + 1)
 
     eigenvalues = []
     projectors = []

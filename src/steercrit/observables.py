@@ -83,13 +83,13 @@ class ObservablePairing:
         Precomputed once per pairing so that repeated joint-distribution
         evaluations (sweeps) reduce to a single tensor contraction.
         """
-        alice_projs = self.alice.spectral.projectors
-        bob_projs = self.bob.spectral.projectors
+        p = np.stack(self.alice.spectral.projectors)
+        q = np.stack(self.bob.spectral.projectors)
         d2 = self.alice.dim * self.bob.dim
-        stack = np.empty((len(alice_projs), len(bob_projs), d2, d2), dtype=complex)
-        for i, pa in enumerate(alice_projs):
-            for j, qb in enumerate(bob_projs):
-                stack[i, j] = np.kron(pa, qb)
+        # entry [i, j, a, b, c, e] is P_i[a, c] * Q_j[b, e], the one product
+        # np.kron(P_i, Q_j) puts at [a * db + b, c * db + e]
+        stack = p[:, None, :, None, :, None] * q[None, :, None, :, None, :]
+        stack = stack.reshape(len(p), len(q), d2, d2)
         stack.setflags(write=False)
         return stack
 

@@ -16,7 +16,6 @@ import numpy as np
 from .linalg import (
     LinalgError,
     as_matrix,
-    eig_hermitian,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -130,8 +129,13 @@ def state_diagnostics(m) -> dict:
     if abs(tr - 1.0) >= TRACE_TOL:
         info["reason"] = f"trace {tr.real:.12g} is not 1"
         return info
-    lo = min(eig_hermitian(m).eigenvalues)
-    info["min_eigenvalue"] = float(lo)
+    # the smallest eigenvalue itself: eig_hermitian's merged outcomes could
+    # average a negative eigenvalue with a positive neighbour
+    try:
+        lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"eigensolve failed: {exc}") from None
+    info["min_eigenvalue"] = lo
     if lo < -PSD_TOL:
         info["reason"] = f"negative eigenvalue {lo:.3e}"
         return info

@@ -10,7 +10,8 @@ calls instead of 27, with the result of a one-point-at-a-time bisection.
 
 Every mode evaluates a whole grid of p in one vectorised pass: the engine
 modes through families.family_moments, the closed-form mode through
-closed_forms.closed_forms_for. A single p is a grid of one, so a sweep row
+closed_forms.closed_forms_for, and a sweep keeps the grid's p, lhs, rhs and
+margin as four (N,) columns. A single p is a grid of one, so a sweep point
 and the evaluator at the same p agree bit for bit.
 """
 
@@ -57,18 +58,18 @@ class ThresholdError(RuntimeError):
     """No usable sign change of the margin on [0, 1]."""
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    p: float
-    lhs: float
-    rhs: float
-    margin: float
-    violated: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    """One read-only (N,) column per quantity, indexed by grid point."""
+
+    p: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+
+    @property
+    def violated(self) -> np.ndarray:
+        return self.margin < 0.0
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,8 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the criterion on a uniform inclusive grid of p values.
 
-    The grid is evaluated in one vectorised single-threaded pass.
+    The grid is evaluated in one vectorised single-threaded pass, and the
+    result holds its p, lhs, rhs and margin as read-only (N,) arrays.
     """
     if not (0.0 <= p_start < p_end <= 1.0):
         raise FamilyError(
@@ -174,13 +176,10 @@ def sweep(
     sides = _family_sides(resolve_family(family, d), criterion, mode)
     grid = np.linspace(p_start, p_end, int(steps))
     lhs, rhs = sides(grid)
-    margin = lhs - rhs
-    return SweepResult(tuple(
-        SweepRow(p, left, right, m, m < 0.0)
-        for p, left, right, m in zip(
-            grid.tolist(), lhs.tolist(), rhs.tolist(), margin.tolist()
-        )
-    ))
+    columns = (grid, lhs, rhs, lhs - rhs)
+    for column in columns:
+        column.setflags(write=False)
+    return SweepResult(*columns)
 
 
 def _midpoint_tree(lo: float, hi: float, depth: int) -> list:
@@ -291,10 +290,9 @@ def find_threshold(
 
 def sweep_csv_text(result: SweepResult) -> str:
     """Deterministic CSV serialization, 12 significant digits."""
+    columns = (result.p, result.lhs, result.rhs, result.margin, result.violated)
     lines = ["p,lhs,rhs,margin,violated"]
-    for r in result.rows:
-        flag = "true" if r.violated else "false"
-        lines.append(
-            f"{r.p:.12g},{r.lhs:.12g},{r.rhs:.12g},{r.margin:.12g},{flag}"
-        )
+    for p, lhs, rhs, m, violated in zip(*(c.tolist() for c in columns)):
+        flag = "true" if violated else "false"
+        lines.append(f"{p:.12g},{lhs:.12g},{rhs:.12g},{m:.12g},{flag}")
     return "\n".join(lines) + "\n"

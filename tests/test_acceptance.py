@@ -298,7 +298,7 @@ def test_criterion_10_sweep_performance():
     r2 = sweep("isotropic", 2, steps=1000)
     r3 = sweep("isotropic", 3, steps=1000)
     elapsed = perf_counter() - t0
-    ok = elapsed < 1.0 and len(r2.rows) == 1000 and len(r3.rows) == 1000
+    ok = elapsed < 1.0 and r2.p.size == 1000 and r3.p.size == 1000
     _report(
         10,
         ok,

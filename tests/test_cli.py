@@ -342,6 +342,8 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
     for argv in (
         ("sweep", "--d", "3", "--out", str(missing / "x.csv")),
         ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(missing / "a.json")),
+        ("sweep", "--d", "3", "--out", str(tmp_path)),
+        ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(tmp_path)),
     ):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, ""), argv

@@ -15,6 +15,7 @@ from steercrit import (
     spin_half,
 )
 from steercrit.linalg import as_matrix, max_abs
+from steercrit.tolerances import DEGENERACY_TOL
 
 from conftest import random_hermitian
 
@@ -59,6 +60,19 @@ def test_eig_merges_degenerate_identity():
     assert len(dec.eigenvalues) == 1
     assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(dec.projectors[0], np.eye(3), atol=1e-12)
+
+
+def test_eig_merges_neighbours_closer_than_degeneracy_tol():
+    # each eigenvalue lies 0.6 DEGENERACY_TOL below the last, so the three
+    # are one outcome although the first and third are 1.2 DEGENERACY_TOL apart
+    step = 0.6 * DEGENERACY_TOL
+    dec = eig_hermitian(np.diag([1.0, 1.0 - step, 1.0 - 2 * step, 0.0]).astype(complex))
+    assert len(dec.eigenvalues) == 2
+    assert dec.eigenvalues[0] == pytest.approx(1.0 - step, abs=1e-15)
+    assert round(np.trace(dec.projectors[0]).real) == 3
+    # a gap of 1.5 DEGENERACY_TOL splits them
+    dec = eig_hermitian(np.diag([1.0, 1.0 - 1.5 * DEGENERACY_TOL, 0.0]).astype(complex))
+    assert len(dec.eigenvalues) == 3
 
 
 def test_eig_qutrit_offdiagonal():

@@ -25,6 +25,8 @@ from steercrit import (
     spin_half,
 )
 
+from conftest import random_observable
+
 
 def test_spin_half_matrices():
     np.testing.assert_allclose(
@@ -127,13 +129,28 @@ def test_pairing_dimension_mismatch_rejected():
         ObservablePairing(bob=spin_half("x"), alice=b1)
 
 
-def test_projector_products_shape():
+def test_projector_products_shape(rng):
     sx = spin_half("x")
     pairing = ObservablePairing(bob=sx, alice=default_pairing(sx).alice)
     stack = pairing.projector_products
     assert stack.shape == (2, 2, 4, 4)
     total = stack.sum(axis=(0, 1))
     np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+    # entry for entry the np.kron stack, also when na != nb
+    pairings = [
+        ObservablePairing(bob=random_observable(rng, d), alice=random_observable(rng, d))
+        for d in (2, 3, 4)
+    ]
+    degenerate = ObservablePairing(
+        bob=Observable("P", np.diag([1.0, 1.0, 0.0])), alice=random_observable(rng, 3)
+    )
+    assert degenerate.projector_products.shape == (3, 2, 9, 9)
+    for pairing in pairings + [degenerate]:
+        kron = np.array([
+            [np.kron(pa, qb) for qb in pairing.bob.spectral.projectors]
+            for pa in pairing.alice.spectral.projectors
+        ])
+        assert np.array_equal(pairing.projector_products, kron)
 
 
 def test_observable_json_round_trip():

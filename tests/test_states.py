@@ -106,13 +106,19 @@ def test_density_matrix_is_immutable():
 
 
 def test_validate_flags_negative_eigenvalue():
-    m = np.diag([1.5, -0.5]).astype(complex)
-    info = state_diagnostics(m)
-    assert not info["valid"]
-    assert "eigenvalue" in info["reason"]
-    assert info["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-12)
-    with pytest.raises(InvalidStateError):
-        validate(m)
+    # in the second, -4e-9 lies within DEGENERACY_TOL of 5e-9: merged into
+    # one outcome they would average to 5e-10 and pass
+    for diag, lowest in (
+        ([1.5, -0.5], -0.5),
+        ([0.6, 0.4 - 1e-9, -4e-9, 5e-9], -4e-9),
+    ):
+        m = np.diag(diag).astype(complex)
+        info = state_diagnostics(m)
+        assert not info["valid"]
+        assert "eigenvalue" in info["reason"]
+        assert info["min_eigenvalue"] == pytest.approx(lowest, abs=1e-12)
+        with pytest.raises(InvalidStateError):
+            validate(m)
 
 
 def test_validate_flags_wrong_trace():

@@ -55,33 +55,34 @@ def test_resolve_family():
 
 def test_sweep_grid_and_endpoints():
     result = sweep("isotropic", 2, steps=11)
-    assert len(result.rows) == 11
-    np.testing.assert_allclose(
-        [row.p for row in result.rows], np.linspace(0.0, 1.0, 11), atol=1e-15
-    )
-    assert result.rows[0].p == 0.0
-    assert result.rows[-1].p == 1.0
-    assert not result.rows[0].violated
-    assert result.rows[-1].violated
+    assert result.p.size == 11
+    np.testing.assert_allclose(result.p, np.linspace(0.0, 1.0, 11), atol=1e-15)
+    assert result.p[0] == 0.0
+    assert result.p[-1] == 1.0
+    assert not result.violated[0]
+    assert result.violated[-1]
 
 
 def test_sweep_two_point_grid():
     result = sweep("isotropic", 3, p_start=0.2, p_end=0.8, steps=2)
-    assert [row.p for row in result.rows] == [0.2, 0.8]
+    assert result.p.tolist() == [0.2, 0.8]
 
 
 def test_sweep_rows_match_evaluator():
-    # a sweep is one batch, the evaluator a batch of one: rows must not
+    # a sweep is one batch, the evaluator a batch of one: points must not
     # depend on the batch size
     for d, mode, criterion in ALL_CONFIGS:
         evaluator = family_evaluator(resolve_family("isotropic", d), criterion, mode)
-        result = sweep("isotropic", d, criterion=criterion, mode=mode, steps=101)
-        for row in result.rows:
-            report = evaluator(row.p)
-            assert row.lhs == report.lhs
-            assert row.rhs == report.rhs
-            assert row.margin == report.margin
-            assert row.violated == report.violated
+        r = sweep("isotropic", d, criterion=criterion, mode=mode, steps=101)
+        for p, lhs, rhs, margin, violated in zip(
+            r.p.tolist(), r.lhs.tolist(), r.rhs.tolist(), r.margin.tolist(),
+            r.violated.tolist(),
+        ):
+            report = evaluator(p)
+            assert lhs == report.lhs
+            assert rhs == report.rhs
+            assert margin == report.margin
+            assert violated == report.violated
 
 
 @pytest.mark.parametrize("p", [1.0 + 1e-9, -1e-12])
@@ -98,9 +99,9 @@ def test_engine_evaluator_rejects_p_outside_unit_interval(mode, p):
 def test_sweep_margins_match_oracle(d, mode, criterion):
     family = resolve_family("isotropic", d)
     b1, b2 = family_observables(family)
-    rows = sweep("isotropic", d, criterion=criterion, mode=mode, steps=101).rows
+    result = sweep("isotropic", d, criterion=criterion, mode=mode, steps=101)
     for k in (0, 29, 62, 100):
-        m = oracle_moments(family_state(family, rows[k].p), b1, b2)
+        m = oracle_moments(family_state(family, float(result.p[k])), b1, b2)
         if mode == "linear-g":
             lhs = m["var_inf_b1"] * m["var_inf_b2"]
         else:
@@ -108,7 +109,7 @@ def test_sweep_margins_match_oracle(d, mode, criterion):
         rhs = 0.25 * m["abs_mean_inf_commutator"] ** 2
         if criterion == "srur":
             rhs += (0.5 * m["mean_inf_anticommutator"] - m["product_of_means_inf"]) ** 2
-        assert abs(rows[k].margin - (lhs - rhs)) < 1e-12
+        assert abs(result.margin[k] - (lhs - rhs)) < 1e-12
 
 
 def test_sweep_margin_strictly_decreasing_on_both_families():
@@ -116,8 +117,7 @@ def test_sweep_margin_strictly_decreasing_on_both_families():
     for d in (2, 3):
         for mode in ("linear-g", "conditional-mean", "paper-closed-form"):
             result = sweep("isotropic", d, mode=mode, steps=1000)
-            margins = [row.margin for row in result.rows]
-            assert all(a > b for a, b in zip(margins, margins[1:]))
+            assert np.all(result.margin[:-1] > result.margin[1:])
 
 
 def test_sweep_csv_bytes_are_deterministic():
@@ -271,9 +271,8 @@ def test_engine_search_batches_its_bisection(d, mode, criterion, monkeypatch):
 @pytest.mark.parametrize("d,mode,criterion", ALL_CONFIGS)
 def test_threshold_matches_quartic_fit_root(d, mode, criterion):
     # on the isotropic families every margin is a quartic in p
-    rows = sweep("isotropic", d, criterion=criterion, mode=mode, steps=2001).rows
-    p = np.array([row.p for row in rows])
-    margin = np.array([row.margin for row in rows])
+    swept = sweep("isotropic", d, criterion=criterion, mode=mode, steps=2001)
+    p, margin = swept.p, swept.margin
     fit = Polynomial.fit(p, margin, 4)
     assert np.max(np.abs(fit(p) - margin)) < 1e-12
     roots = [

@@ -231,13 +231,14 @@ def _cmd_evaluate(args) -> int:
             engine = report.moments
         closed_diff = diff_rows(family, p, engine) if family is not None else None
         oracle = audit_dump(rho, b1, b2, rule)
+        engine_moments = engine.as_dict()
         diffs = [
-            abs(engine.as_dict()[key] - val)
+            abs(engine_moments[key] - val)
             for key, val in oracle["moments"].items()
         ]
         bundle = {
             "report": report.to_json_dict(),
-            "engine_moments": engine.as_dict(),
+            "engine_moments": engine_moments,
             "oracle": oracle,
             "engine_oracle_max_abs_diff": max(diffs),
             "closed_form_diff": None

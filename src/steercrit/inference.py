@@ -28,6 +28,7 @@ from .observables import (
     ObservablePairing,
     anticommutator_observable,
     commutator_observable,
+    decompose,
     default_pairing,
     difference_observable,
 )
@@ -186,7 +187,8 @@ class MeasurementSettings:
     Alice's derived operators are built from her own A1, A2 by the same
     algebra as Bob's: A3 = -i[A1, A2], A4 = {A1, A2}, A0 = A1 - A2. Building
     the settings once and reusing them across a sweep keeps the cached
-    spectral decompositions and projector stacks alive. pairs maps table
+    spectral decompositions and projector stacks alive; build decomposes
+    all ten operators in one stacked eigensolve. pairs maps table
     name -> pairing in evaluation order: b1, b2, commutator,
     anticommutator, difference.
     """
@@ -205,6 +207,7 @@ class MeasurementSettings:
             ("difference", difference_observable),
         ):
             pairs[name] = ObservablePairing(bob=derive(b1, b2), alice=derive(a1, a2))
+        decompose(obs for pair in pairs.values() for obs in (pair.bob, pair.alice))
         return cls(pairs)
 
 

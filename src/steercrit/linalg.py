@@ -19,10 +19,11 @@ class LinalgError(ValueError):
     """Malformed matrix input or a failed eigensolve."""
 
 
-def as_matrix(entries) -> np.ndarray:
-    """Coerce input to a square complex matrix, rejecting NaN/Inf entries."""
+def as_matrix(entries, ndim: int = 2) -> np.ndarray:
+    """Coerce input to a square complex matrix, or with ndim=3 a (K, d, d)
+    stack of them, rejecting NaN/Inf entries."""
     m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or 0 in m.shape:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise LinalgError("matrix entries must be finite")
@@ -76,38 +77,70 @@ class SpectralDecomposition:
     projectors: tuple[np.ndarray, ...]
 
 
-def eig_hermitian(a) -> SpectralDecomposition:
+def hermitian_residual(m: np.ndarray) -> tuple:
+    """max |M - M^dagger| of each matrix in m, and whether it fails the
+    observable rule: at or above HERMITICITY_TOL * max(1, max |M|)."""
+    residual = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return residual, residual >= HERMITICITY_TOL * scale
+
+
+def eig_hermitian(a):
     """Spectral decomposition with near-degenerate eigenvalues merged.
 
-    Eigenvalues closer than DEGENERACY_TOL are treated as one measurement outcome and
-    share a single projector; the reported value is the group mean. Raises
-    LinalgError for non-Hermitian input or on failure to converge.
+    A (d, d) matrix gives one SpectralDecomposition; a (K, d, d) stack gives
+    a tuple of K, from one batched eigensolve. Eigenvalues closer than
+    DEGENERACY_TOL are treated as one measurement outcome and share a single
+    projector; the reported value is the group mean. Raises LinalgError for
+    non-Hermitian input or on failure to converge.
     """
-    m = as_matrix(a)
-    residual = max_abs(m - m.conj().T)
-    if residual >= HERMITICITY_TOL:
-        raise LinalgError(f"matrix is not Hermitian (residual {residual:.3e})")
+    single = np.ndim(a) == 2
+    m = as_matrix(a)[None] if single else as_matrix(a, ndim=3)
+    residual, bad = hermitian_residual(m)
+    if bad.any():
+        raise LinalgError(
+            f"matrix is not Hermitian (residual {residual[np.argmax(bad)]:.3e})"
+        )
 
     # the Hermitian part, so the result does not depend on which triangle
     # LAPACK reads; ascending output is reversed to descending
     try:
-        evals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        evals, vecs = np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"eigensolve failed: {exc}") from None
-    evals = evals[::-1]
-    vecs = vecs[:, ::-1]
+    evals = evals[:, ::-1]
+    vecs = vecs[:, :, ::-1]
 
     # a new outcome starts wherever an eigenvalue is DEGENERACY_TOL or more
-    # below its neighbour
-    gaps = evals[:-1] - evals[1:] >= DEGENERACY_TOL
-    groups = np.split(np.arange(evals.size), np.flatnonzero(gaps) + 1)
+    # below its neighbour; outcome (k, start) of rank r spans eigenvalues
+    # start .. start + r - 1 of matrix k
+    d = evals.shape[1]
+    starts = []
+    by_rank: dict[int, list] = {}
+    for k, row in enumerate((evals[:, :-1] - evals[:, 1:] >= DEGENERACY_TOL).tolist()):
+        edges = [0, *(i + 1 for i, gap in enumerate(row) if gap), d]
+        starts.append(edges[:-1])
+        for start, stop in zip(edges, edges[1:]):
+            by_rank.setdefault(stop - start, []).append((k, start))
 
-    eigenvalues = []
-    projectors = []
-    for grp in groups:
-        cols = vecs[:, grp]
-        proj = cols @ cols.conj().T
-        proj.setflags(write=False)
-        eigenvalues.append(float(np.mean(evals[grp])))
-        projectors.append(proj)
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
+    # per rank r, one mean over the (M, r) eigenvalues and one matmul over
+    # the (M, d, r) eigenvector columns; each projector is copied out so that
+    # it does not keep the batch alive
+    mean, proj = {}, {}
+    rows = np.arange(d)[None, :, None]
+    for rank, members in by_rank.items():
+        ks, first = np.array(members).T
+        span = first[:, None] + np.arange(rank)
+        mean.update(zip(members, evals[ks[:, None], span].mean(axis=1).tolist()))
+        cols = vecs[ks[:, None, None], rows, span[:, None, :]]
+        for key, p in zip(members, cols @ cols.conj().swapaxes(1, 2)):
+            proj[key] = p.copy()
+            proj[key].setflags(write=False)
+
+    decs = tuple(
+        SpectralDecomposition(
+            tuple(mean[k, s] for s in ss), tuple(proj[k, s] for s in ss)
+        )
+        for k, ss in enumerate(starts)
+    )
+    return decs[0] if single else decs

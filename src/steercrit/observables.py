@@ -1,6 +1,7 @@
 """Hermitian observables, their measurement semantics, and pairings.
 
-An Observable owns its spectral decomposition (computed lazily, cached).
+An Observable owns its spectral decomposition (computed lazily and cached,
+or filled together with others' by decompose).
 An ObservablePairing fixes which operator the remote party (Alice) measures
 when estimating a local (Bob) observable; the default convention pairs each
 Bob operator with its entrywise transpose, the unique choice that maximizes
@@ -19,11 +20,10 @@ from .linalg import (
     SpectralDecomposition,
     as_matrix,
     eig_hermitian,
+    hermitian_residual,
     matrix_from_json,
     matrix_to_json,
-    max_abs,
 )
-from .tolerances import HERMITICITY_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,8 +35,8 @@ class Observable:
 
     def __post_init__(self) -> None:
         m = as_matrix(self.matrix)
-        residual = max_abs(m - m.conj().T)
-        if residual >= HERMITICITY_TOL:
+        residual, bad = hermitian_residual(m)
+        if bad:
             raise LinalgError(
                 f"observable {self.label!r} is not Hermitian "
                 f"(residual {residual:.3e})"
@@ -60,6 +60,16 @@ class Observable:
     def transpose(self) -> "Observable":
         """Entrywise transpose (no conjugation); Hermitian iff self is."""
         return Observable(f"{self.label}^T", self.matrix.T)
+
+
+def decompose(observables) -> None:
+    """Fill the cached spectral decomposition of every observable that lacks
+    one, from one stacked eig_hermitian call; all must share a dimension."""
+    todo = [obs for obs in observables if "spectral" not in obs.__dict__]
+    if todo:
+        decs = eig_hermitian(np.stack([obs.matrix for obs in todo]))
+        for obs, dec in zip(todo, decs):
+            obs.__dict__["spectral"] = dec
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .observables import Observable, ObservablePairing, default_pairing
+from .observables import Observable, ObservablePairing, decompose, default_pairing
 from .states import DensityMatrix
 from .tolerances import ALICE_POWER_FLOOR, NORMALIZATION_TOL, PROB_CLAMP, PSD_TOL
 
@@ -31,36 +31,30 @@ class OutcomeTable:
         return [[a, b, p] for (a, b, p) in self.entries]
 
 
-def _naive_kron(x, y) -> list[list[complex]]:
-    nx, ny = len(x), len(y)
-    out = [[0j] * (nx * ny) for _ in range(nx * ny)]
-    for i in range(nx):
-        for j in range(nx):
-            for k in range(ny):
-                for m in range(ny):
-                    out[i * ny + k][j * ny + m] = x[i][j] * y[k][m]
-    return out
-
-
-def _naive_trace_product(x, y) -> complex:
-    # tr(X Y) without forming the product
-    n = len(x)
-    total = 0j
-    for r in range(n):
-        for s in range(n):
-            total += x[r][s] * y[s][r]
-    return total
-
-
 def _as_lists(matrix) -> list[list[complex]]:
     return [[complex(z) for z in row] for row in matrix]
+
+
+def _trace_kron(rho_rows, p_rows, q_rows, index) -> complex:
+    """tr[rho kron(P, Q)] without forming the product.
+
+    index[r] = divmod(r, dim Q) splits a full-space index into its Alice and
+    Bob parts, so kron(P, Q)[s][r] = P[j][i] * Q[m][k]; the terms
+    rho[r][s] * kron(P, Q)[s][r] are summed over r, then s.
+    """
+    total = 0j
+    for r, (i, k) in enumerate(index):
+        rho_row = rho_rows[r]
+        for s, (j, m) in enumerate(index):
+            total += rho_row[s] * (p_rows[j][i] * q_rows[m][k])
+    return total
 
 
 def enumerate_table(rho: DensityMatrix, pairing: ObservablePairing) -> OutcomeTable:
     """One entry per (Alice projector, Bob projector) pair.
 
     Each probability is tr[rho kron(P_a, Q_b)], computed with the naive
-    loop arithmetic above.
+    loop arithmetic above; each projector is converted to lists once.
     """
     if not rho.is_bipartite or rho.dims != (pairing.alice.dim, pairing.bob.dim):
         raise OracleError(
@@ -68,6 +62,9 @@ def enumerate_table(rho: DensityMatrix, pairing: ObservablePairing) -> OutcomeTa
             f"({pairing.alice.dim}, {pairing.bob.dim})"
         )
     rho_rows = _as_lists(rho.matrix)
+    index = [divmod(r, pairing.bob.dim) for r in range(rho.dim)]
+    bob = pairing.bob.spectral
+    bob_rows = [_as_lists(q) for q in bob.projectors]
     # a state with eigenvalues >= -PSD_TOL gives probabilities >= -PSD_TOL * D;
     # those between that floor and PROB_CLAMP are set to 0
     floor = -PSD_TOL * rho.dim
@@ -77,11 +74,8 @@ def enumerate_table(rho: DensityMatrix, pairing: ObservablePairing) -> OutcomeTa
         pairing.alice.spectral.eigenvalues, pairing.alice.spectral.projectors
     ):
         a_rows = _as_lists(a_proj)
-        for b_val, b_proj in zip(
-            pairing.bob.spectral.eigenvalues, pairing.bob.spectral.projectors
-        ):
-            joint = _naive_kron(a_rows, _as_lists(b_proj))
-            prob = _naive_trace_product(rho_rows, joint).real
+        for b_val, q_rows in zip(bob.eigenvalues, bob_rows):
+            prob = _trace_kron(rho_rows, a_rows, q_rows, index).real
             if prob < floor:
                 raise OracleError(f"negative probability {prob:.3e}")
             total += prob
@@ -191,6 +185,7 @@ def _pairings(b1: Observable, b2: Observable, pairing_rule) -> dict:
             bob=_derived_observable(kind, b1, b2),
             alice=_derived_observable(kind, a1, a2),
         )
+    decompose(obs for pair in pairs.values() for obs in (pair.bob, pair.alice))
     return pairs
 
 

@@ -7,8 +7,12 @@ of the same bound. Residuals are measured in the max-absolute-entry norm.
 
 from __future__ import annotations
 
-# max |M - M^dagger| below which a matrix counts as Hermitian (states and
-# observables alike; JSON round trips leave residuals near 1e-16)
+# max |M - M^dagger| below which a state counts as Hermitian (its entries
+# are at most 1, and JSON round trips leave residuals near 1e-16).
+# Observables and eig_hermitian allow HERMITICITY_TOL * max(1, max |M|):
+# roundoff grows with the entries, so -i[B1, B2] of dense observables scaled
+# by s carries residuals near 1e-16 s^2, which an absolute bound would reject
+# from s ~ 300 on
 HERMITICITY_TOL = 1e-10
 # |tr rho - 1| below which a state counts as normalised
 TRACE_TOL = 1e-10

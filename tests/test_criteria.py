@@ -30,7 +30,7 @@ from steercrit import (
 )
 from steercrit import DensityMatrix
 
-from conftest import random_density, random_observable
+from conftest import random_density, random_hermitian, random_observable
 
 
 def _qubit(p: float):
@@ -99,6 +99,21 @@ def test_margin_scales_with_observables(family, mode):
             rho, Observable("B1", s * b1.matrix), Observable("B2", s * b2.matrix), mode=mode
         )
         assert scaled.margin / s**4 == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN))
+def test_margin_scales_with_random_qutrit_observables(rng, mode):
+    # -i[B1, B2] of dense observables carries roundoff of order 1e-16 s^2, so
+    # its Hermiticity check has to scale with the entries
+    rho = isotropic(3, 0.5)
+    for _ in range(20):
+        m1, m2 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+        base = evaluate_srur(rho, Observable("B1", m1), Observable("B2", m2), mode=mode).margin
+        for s in (1e3, 1e4):
+            scaled = evaluate_srur(
+                rho, Observable("B1", s * m1), Observable("B2", s * m2), mode=mode
+            )
+            assert scaled.margin / s**4 == pytest.approx(base, rel=1e-9)
 
 
 def test_violated_iff_negative_margin():

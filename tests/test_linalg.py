@@ -86,6 +86,42 @@ def test_eig_qutrit_offdiagonal():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(LinalgError):
         eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    # the residual bound scales with the largest entry
+    m = 1e4 * SX
+    m[0, 1] += 1e-8
+    assert eig_hermitian(m).eigenvalues == pytest.approx((1e4, -1e4))
+    m[0, 1] += 1e-6
+    with pytest.raises(LinalgError):
+        eig_hermitian(np.stack([SZ, m]))
+
+
+def _stack_members(rng, d: int) -> list[np.ndarray]:
+    """Random, exactly degenerate and near-degenerate d x d matrices."""
+    q, _ = np.linalg.qr(random_hermitian(rng, d))
+    near = np.linspace(1.0, -1.0, d)
+    near[1] = near[0] - 0.5 * DEGENERACY_TOL
+    repeated = np.repeat([1.0, -0.5], [d - d // 2, d // 2])
+    return [
+        random_hermitian(rng, d),
+        np.eye(d, dtype=complex),
+        np.diag(repeated).astype(complex),
+        (q * near) @ q.conj().T,
+        random_hermitian(rng, d),
+    ]
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_stacked_eig_equals_per_matrix(rng, d):
+    for _ in range(20):
+        members = _stack_members(rng, d)
+        order = rng.permutation(len(members))
+        stack = np.stack([members[i] for i in order])
+        for m, dec in zip(stack, eig_hermitian(stack), strict=True):
+            single = eig_hermitian(m)
+            assert dec.eigenvalues == single.eigenvalues
+            assert len(dec.projectors) == len(single.projectors)
+            for p, ref in zip(dec.projectors, single.projectors):
+                assert np.array_equal(p, ref)
 
 
 def _check_decomposition(m: np.ndarray) -> None:

@@ -55,6 +55,22 @@ def test_uniform_table_on_mixed_qutrits():
         assert prob == pytest.approx(1 / 9, abs=1e-12)
 
 
+def test_table_entries_match_dense_kron_traces(rng):
+    for d in (2, 3, 4):
+        for _ in range(5):
+            rho = random_bipartite(rng, d, d)
+            pairing = default_pairing(random_observable(rng, d))
+            table = enumerate_table(rho, pairing)
+            expected = [
+                np.trace(rho.matrix @ np.kron(p, q)).real
+                for p in pairing.alice.spectral.projectors
+                for q in pairing.bob.spectral.projectors
+            ]
+            assert len(table.entries) == len(expected)
+            for (_, _, prob), ref in zip(table.entries, expected):
+                assert prob == pytest.approx(ref, abs=1e-14)
+
+
 def test_isotropic_qubit_table_in_x():
     rho = isotropic(2, 0.5)
     table = enumerate_table(rho, default_pairing(spin_half("x")))
@@ -191,9 +207,12 @@ def test_linear_moments_match_plain_traces(rng):
 
 
 def test_trace_check_sees_reversed_projectors(rng, monkeypatch):
-    def reversed_projectors(matrix):
-        spec = eig_hermitian(matrix)
-        return SpectralDecomposition(spec.eigenvalues, spec.projectors[::-1])
+    # settings decompose their operators as one (K, d, d) stack
+    def reversed_projectors(stack):
+        return tuple(
+            SpectralDecomposition(spec.eigenvalues, spec.projectors[::-1])
+            for spec in eig_hermitian(stack)
+        )
 
     monkeypatch.setattr(observables, "eig_hermitian", reversed_projectors)
     worst = 0.0

@@ -47,7 +47,6 @@ from .families import (
     FAMILY_QUTRIT_B1B2,
     FamilyError,
     family_descriptor,
-    family_dimension,
     family_for_dimension,
     family_moments,
     family_observables,

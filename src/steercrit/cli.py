@@ -139,11 +139,11 @@ def _check_out_dir(path: Path) -> None:
         raise _ConfigError(f"cannot write {path}: it is a directory")
 
 
-def _check_isotropic_dim(d: int | None) -> int:
+def _check_isotropic_dim(d: int | None) -> str:
+    """The name of the built-in family of local dimension d."""
     if d is None:
         raise _ConfigError("--family isotropic requires --d")
-    family_for_dimension(d)
-    return int(d)
+    return family_for_dimension(d)
 
 
 def _check_p(p: float | None) -> float:
@@ -171,6 +171,8 @@ def _cmd_evaluate(args) -> int:
         raise _ConfigError("--out on evaluate is only used with --audit")
     if args.audit:
         _check_out_dir(args.out)
+        if args.family == "isotropic":
+            _check_out_dir(Path(f"{args.out}.diff.csv"))
 
     if args.mode == MODE_CLOSED_FORM and args.family != "isotropic":
         raise _ConfigError("mode paper-closed-form requires --family isotropic")
@@ -178,9 +180,8 @@ def _cmd_evaluate(args) -> int:
     if args.family == "isotropic":
         if args.state is not None or args.observables is not None:
             raise _ConfigError("--state/--observables are for --family file")
-        d = _check_isotropic_dim(args.d)
+        family = _check_isotropic_dim(args.d)
         p = _check_p(args.p)
-        family = family_for_dimension(d)
         if args.pairing != "transpose" or args.pairing_file is not None:
             raise _ConfigError("the isotropic families use the transpose pairing")
         report = family_evaluator(family, args.criterion, args.mode)(p)
@@ -253,11 +254,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _check_out_dir(args.out)
-    d = _check_isotropic_dim(args.d)
+    family = _check_isotropic_dim(args.d)
     if args.jobs < 1:
         raise _ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     result = sweep(
-        "isotropic", d,
+        family,
         criterion=args.criterion,
         mode=args.mode,
         p_start=args.p_start,
@@ -269,11 +270,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    d = _check_isotropic_dim(args.d)
+    family = _check_isotropic_dim(args.d)
     if not math.isfinite(args.tol) or args.tol <= 0.0:
         raise _ConfigError(f"--tol must be positive and finite, got {args.tol}")
     result = find_threshold(
-        "isotropic", d, criterion=args.criterion, mode=args.mode, tol=args.tol
+        family, criterion=args.criterion, mode=args.mode, tol=args.tol
     )
     _print_json(result.to_json_dict())
     return 0

@@ -19,9 +19,10 @@ pairing, which is the unique assignment reproducing the 0.56 crossing.
 
 The closed forms are InferredMoments records: a float p gives floats, an
 array of p gives an (N,) array per field, element for element the same
-arithmetic. Their var_min slots equal
-var_inf (the two estimators coincide on isotropic states, a fact the engine
-tests verify) and sq_mean_inf_b0 is filled by the polarization identity
+arithmetic. Each family states only its published slots; one helper
+derives the rest for both. The var_min slots equal var_inf (the two
+estimators coincide on isotropic states, a fact the engine tests verify)
+and sq_mean_inf_b0 is filled by the polarization identity
 sq1 + sq2 - 2 * product, so each record is self-consistent with its product
 slot.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERION_SRUR, CriterionReport, build_report, criterion_sides
+from .criteria import CRITERION_SRUR, CriterionReport, criterion_sides
 from .families import FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2, family_descriptor
 from .inference import MODE_LINEAR_G, InferredMoments
 
@@ -54,42 +55,20 @@ def _check_p(p):
     return float(p) if p.ndim == 0 else p
 
 
-def qubit_closed_forms(p) -> InferredMoments:
-    """Closed forms for the qubit (Sx, Sz) pair on isotropic states at p."""
-    p = _check_p(p)
-    var = 0.25 * (1.0 - p * p)
-    sq = 0.25 * p * p
-    product = ((1.0 - 2.0 * math.sqrt(2.0)) * p * p - 1.0) / 16.0
-    return InferredMoments(
-        var_inf_b1=var,
-        var_inf_b2=var,
-        var_min_b1=var,
-        var_min_b2=var,
-        abs_mean_inf_commutator=0.5 * p,
-        # zero shaped like p; abs keeps it +0.0 at p = -0.0
-        mean_inf_anticommutator=abs(0.0 * p),
-        sq_mean_inf_b1=sq,
-        sq_mean_inf_b2=sq,
-        sq_mean_inf_b0=2.0 * sq - 2.0 * product,
-        product_of_means_inf=product,
-        g1=p,
-        g2=p,
-    )
+def _fill_derived(p, var_inf, commutator, sq_mean_inf, product) -> InferredMoments:
+    """The record of the published slots, var_inf and sq_mean_inf as (B1, B2).
 
-
-def qutrit_closed_forms(p) -> InferredMoments:
-    """Closed forms for the qutrit (B1, B2) pair on isotropic states at p."""
-    p = _check_p(p)
-    p2 = p * p
-    sq1 = 2.0 * p2 / 27.0
-    sq2 = p2 / 27.0
-    product = -p2 / 36.0
+    The other slots are derived: var_min equals var_inf, g is p, the
+    anticommutator mean is a zero shaped like p (abs keeps it +0.0 at
+    p = -0.0), and sq_mean_inf_b0 is sq1 + sq2 - 2 * product.
+    """
+    (var1, var2), (sq1, sq2) = var_inf, sq_mean_inf
     return InferredMoments(
-        var_inf_b1=(2.0 / 3.0) * (1.0 - p2),
-        var_inf_b2=(1.0 / 3.0) * (1.0 - p2),
-        var_min_b1=(2.0 / 3.0) * (1.0 - p2),
-        var_min_b2=(1.0 / 3.0) * (1.0 - p2),
-        abs_mean_inf_commutator=p / math.sqrt(27.0),
+        var_inf_b1=var1,
+        var_inf_b2=var2,
+        var_min_b1=var1,
+        var_min_b2=var2,
+        abs_mean_inf_commutator=commutator,
         mean_inf_anticommutator=abs(0.0 * p),
         sq_mean_inf_b1=sq1,
         sq_mean_inf_b2=sq2,
@@ -100,13 +79,36 @@ def qutrit_closed_forms(p) -> InferredMoments:
     )
 
 
+def qubit_closed_forms(p) -> InferredMoments:
+    """Closed forms for the qubit (Sx, Sz) pair on isotropic states at p."""
+    p = _check_p(p)
+    var = 0.25 * (1.0 - p * p)
+    sq = 0.25 * p * p
+    product = ((1.0 - 2.0 * math.sqrt(2.0)) * p * p - 1.0) / 16.0
+    return _fill_derived(p, (var, var), 0.5 * p, (sq, sq), product)
+
+
+def qutrit_closed_forms(p) -> InferredMoments:
+    """Closed forms for the qutrit (B1, B2) pair on isotropic states at p."""
+    p = _check_p(p)
+    p2 = p * p
+    var = ((2.0 / 3.0) * (1.0 - p2), (1.0 / 3.0) * (1.0 - p2))
+    sq = (2.0 * p2 / 27.0, p2 / 27.0)
+    return _fill_derived(p, var, p / math.sqrt(27.0), sq, -p2 / 36.0)
+
+
+# family name -> its published closed forms
+_CLOSED_FORMS = {
+    FAMILY_QUBIT_XZ: qubit_closed_forms,
+    FAMILY_QUTRIT_B1B2: qutrit_closed_forms,
+}
+
+
 def closed_forms_for(family: str, p) -> InferredMoments:
     """The family's closed forms at a float p, or at an array of p."""
-    if family == FAMILY_QUBIT_XZ:
-        return qubit_closed_forms(p)
-    if family == FAMILY_QUTRIT_B1B2:
-        return qutrit_closed_forms(p)
-    raise ClosedFormError(f"no closed forms for family {family!r}")
+    if family not in _CLOSED_FORMS:
+        raise ClosedFormError(f"no closed forms for family {family!r}")
+    return _CLOSED_FORMS[family](p)
 
 
 def closed_form_report(
@@ -120,7 +122,7 @@ def closed_form_report(
     """
     moments = closed_forms_for(family, [p])
     lhs, rhs = criterion_sides(moments, criterion, MODE_LINEAR_G)
-    return build_report(
+    return CriterionReport(
         criterion, MODE_CLOSED_FORM, float(lhs[0]), float(rhs[0]), moments.row(0),
         family_descriptor(family, p),
     )

@@ -39,16 +39,26 @@ CRITERION_HUR = "hur"
 
 @dataclass(frozen=True, eq=False)
 class CriterionReport:
-    """One criterion evaluation: bound sides, margin, flag and all moments."""
+    """One criterion evaluation: bound sides and all moments.
+
+    The margin lhs - rhs and the violated flag are derived from the sides.
+    """
 
     criterion: str
     mode: str
     lhs: float
     rhs: float
-    margin: float
-    violated: bool
     moments: InferredMoments
     state_descriptor: str
+
+    @property
+    def margin(self) -> float:
+        return self.lhs - self.rhs
+
+    @property
+    def violated(self) -> bool:
+        # the flag is the exact sign; tolerance policy belongs to callers
+        return self.margin < 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,29 +101,6 @@ def criterion_sides(moments, criterion: str, mode: str):
     return lhs, rhs
 
 
-def build_report(
-    criterion: str,
-    mode: str,
-    lhs: float,
-    rhs: float,
-    moments: InferredMoments,
-    state_descriptor: str,
-) -> CriterionReport:
-    """The report of one evaluation from its two sides."""
-    margin = lhs - rhs
-    # the flag is the exact sign; tolerance policy belongs to callers
-    return CriterionReport(
-        criterion=criterion,
-        mode=mode,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        violated=margin < 0.0,
-        moments=moments,
-        state_descriptor=state_descriptor,
-    )
-
-
 def evaluate_criterion(
     rho: DensityMatrix,
     b1: Observable,
@@ -128,7 +115,7 @@ def evaluate_criterion(
     if state_descriptor is None:
         state_descriptor = f"dims={rho.dims}; observables=({b1.label},{b2.label})"
     lhs, rhs = criterion_sides(moments, criterion, mode)
-    return build_report(criterion, mode, lhs, rhs, moments, state_descriptor)
+    return CriterionReport(criterion, mode, lhs, rhs, moments, state_descriptor)
 
 
 def evaluate_srur(

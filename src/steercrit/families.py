@@ -1,8 +1,12 @@
-"""The two built-in isotropic test families.
+"""The built-in test families, one preset row each.
+
+A preset is a family name with its local dimension d and a constructor for
+Bob's observable pair; the family's states are the isotropic states of
+dimension d, measured with the default transpose pairing. Adding a family
+is adding a row to _PRESETS.
 
 "qubit-xz": d = 2 isotropic states probed with the spin pair (Sx, Sz).
 "qutrit-b1b2": d = 3 isotropic states probed with the qutrit pair (B1, B2).
-Both use the default transpose pairing.
 """
 
 from __future__ import annotations
@@ -18,43 +22,44 @@ from .states import DensityMatrix, isotropic
 
 FAMILY_QUBIT_XZ = "qubit-xz"
 FAMILY_QUTRIT_B1B2 = "qutrit-b1b2"
-FAMILIES = (FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2)
 
-_DIMS = {FAMILY_QUBIT_XZ: 2, FAMILY_QUTRIT_B1B2: 3}
+# name -> (local dimension, Bob's observable pair); the pair is built anew
+# on every call, so no family state is kept per process
+_PRESETS = {
+    FAMILY_QUBIT_XZ: (2, lambda: (spin_half("x"), spin_half("z"))),
+    FAMILY_QUTRIT_B1B2: (3, lambda: qutrit_triplet()[:2]),
+}
+FAMILIES = tuple(_PRESETS)
 
 
 class FamilyError(ValueError):
     """Unknown family name or unsupported dimension."""
 
 
+def _preset(family: str) -> tuple:
+    if family not in _PRESETS:
+        raise FamilyError(f"unknown family {family!r} (expected one of {FAMILIES})")
+    return _PRESETS[family]
+
+
 def family_for_dimension(d: int) -> str:
-    for name, dim in _DIMS.items():
+    for name, (dim, _) in _PRESETS.items():
         if dim == int(d):
             return name
     raise FamilyError(f"no built-in family for local dimension {d}")
 
 
-def family_dimension(family: str) -> int:
-    if family not in _DIMS:
-        raise FamilyError(f"unknown family {family!r} (expected one of {FAMILIES})")
-    return _DIMS[family]
-
-
 def family_observables(family: str) -> tuple[Observable, Observable]:
-    family_dimension(family)
-    if family == FAMILY_QUBIT_XZ:
-        return spin_half("x"), spin_half("z")
-    b1, b2, _ = qutrit_triplet()
-    return b1, b2
+    return _preset(family)[1]()
 
 
 def family_state(family: str, p: float) -> DensityMatrix:
-    return isotropic(family_dimension(family), float(p))
+    return isotropic(_preset(family)[0], float(p))
 
 
 def family_descriptor(family: str, p: float) -> str:
-    d = family_dimension(family)
-    b1, b2 = family_observables(family)
+    d, observables = _preset(family)
+    b1, b2 = observables()
     return f"isotropic(d={d}, p={p:.12g}); observables=({b1.label},{b2.label})"
 
 

@@ -29,7 +29,6 @@ from .criteria import (
     CRITERION_HUR,
     CRITERION_SRUR,
     CriterionReport,
-    build_report,
     criterion_sides,
 )
 from .families import (
@@ -143,7 +142,7 @@ def family_evaluator(
     def evaluate(p: float) -> CriterionReport:
         moments = moments_at([p])
         lhs, rhs = criterion_sides(moments, criterion, mode)
-        return build_report(
+        return CriterionReport(
             criterion, mode, float(lhs[0]), float(rhs[0]), moments.row(0),
             family_descriptor(family, p),
         )

@@ -339,15 +339,19 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(steercrit.cli, "sweep", no_sweep)
     missing = tmp_path / "missing_dir"
+    # a built-in family's audit also writes <out>.diff.csv
+    (tmp_path / "a.json.diff.csv").mkdir()
     for argv in (
         ("sweep", "--d", "3", "--out", str(missing / "x.csv")),
         ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(missing / "a.json")),
         ("sweep", "--d", "3", "--out", str(tmp_path)),
         ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(tmp_path)),
+        ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(tmp_path / "a.json")),
     ):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, ""), argv
         assert "error: cannot write" in err, argv
+    assert not (tmp_path / "a.json").exists()
 
 
 def _observable_json(label, matrix):

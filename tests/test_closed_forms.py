@@ -84,12 +84,30 @@ def test_closed_forms_on_a_grid_match_each_float():
             assert batch.row(i).as_dict() == single.as_dict()
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def test_to_moments_is_a_valid_record():
     # the closed forms are InferredMoments, which check their own consistency
     m = qubit_closed_forms(0.42)
     assert isinstance(m, InferredMoments)
     assert m.var_inf_b1 == m.var_min_b1
     assert m.g1 == pytest.approx(0.42, abs=1e-15)
+    # both families derive their unpublished slots by one rule, bit for bit,
+    # at a float p and on a grid of p
+    grid = [0.0, -0.0, 1.0, 0.42, 0.5, 0.9]
+    for family in (FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2):
+        for p in (*grid, grid):
+            m = closed_forms_for(family, p)
+            where = (family, p)
+            assert _bits(m.var_min_b1) == _bits(m.var_inf_b1), where
+            assert _bits(m.var_min_b2) == _bits(m.var_inf_b2), where
+            assert _bits(m.g1) == _bits(m.g2) == _bits(p), where
+            b0 = m.sq_mean_inf_b1 + m.sq_mean_inf_b2 - 2 * m.product_of_means_inf
+            assert _bits(m.sq_mean_inf_b0) == _bits(b0), where
+            # +0.0 even at p = -0.0
+            assert _bits(m.mean_inf_anticommutator) == _bits(np.zeros_like(p, float)), where
 
 
 def test_report_flags_flip_across_qubit_threshold():

@@ -29,6 +29,7 @@ from steercrit import (
     variance,
 )
 from steercrit import DensityMatrix
+from steercrit.thresholds import MODES, family_evaluator
 
 from conftest import random_density, random_hermitian, random_observable
 
@@ -124,6 +125,18 @@ def test_violated_iff_negative_margin():
             evaluate_criterion(rho, b1, b2, criterion="hur"),
         ):
             assert report.violated == (report.margin < 0.0)
+    # the family route in every mode, the closed forms included
+    for family in FAMILIES:
+        for mode in MODES:
+            for criterion in (CRITERION_SRUR, CRITERION_HUR):
+                evaluate = family_evaluator(family, criterion, mode)
+                for p in (0.0, 0.5, 0.61, 0.62, 0.9, 0.905, 1.0):
+                    report = evaluate(p)
+                    where = (family, mode, criterion, p)
+                    assert report.margin == report.lhs - report.rhs, where
+                    assert report.violated == (report.margin < 0.0), where
+    with pytest.raises(AttributeError):
+        report.margin = 0.0
 
 
 def test_hur_equals_srur_when_covariance_term_vanishes():

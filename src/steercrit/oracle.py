@@ -5,7 +5,9 @@ observables' spectral projectors (measurement outcomes must be literally the
 same to compare distributions) but redoes all probability and moment
 arithmetic in the plainest possible style: explicit index loops and Python
 scalar sums, no vectorization, no shortcuts shared with the inference
-engine. Slowness is fine; independence is the point.
+engine. Each table goes through Bob's partial trace of rho against each of
+his projectors, so a cell costs d_A^2 terms rather than D^2. Slowness is
+fine; independence is the point.
 """
 
 from __future__ import annotations
@@ -32,39 +34,56 @@ class OutcomeTable:
 
 
 def _as_lists(matrix) -> list[list[complex]]:
-    return [[complex(z) for z in row] for row in matrix]
+    return matrix.tolist()
 
 
-def _trace_kron(rho_rows, p_rows, q_rows, index) -> complex:
-    """tr[rho kron(P, Q)] without forming the product.
+def _bob_partial_trace(rho_rows, q_rows, dim_a: int, dim_b: int) -> list[list[complex]]:
+    """Bob's partial trace X[i][j] = sum over k, m of rho[(i, k)][(j, m)] * Q[m][k].
 
-    index[r] = divmod(r, dim Q) splits a full-space index into its Alice and
-    Bob parts, so kron(P, Q)[s][r] = P[j][i] * Q[m][k]; the terms
-    rho[r][s] * kron(P, Q)[s][r] are summed over r, then s.
+    The full-space index (i, k) is i * dim_b + k. X is dim_a x dim_a, and
+    tr[X P] = tr[rho kron(P, Q)] for any P on Alice's side.
     """
+    x_rows = []
+    for i in range(dim_a):
+        x_row = []
+        for j in range(dim_a):
+            acc = 0j
+            for k in range(dim_b):
+                rho_row = rho_rows[i * dim_b + k]
+                for m in range(dim_b):
+                    acc += rho_row[j * dim_b + m] * q_rows[m][k]
+            x_row.append(acc)
+        x_rows.append(x_row)
+    return x_rows
+
+
+def _trace_product(x_rows, p_rows) -> complex:
+    """tr[X P] = sum over i, j of X[i][j] * P[j][i]."""
     total = 0j
-    for r, (i, k) in enumerate(index):
-        rho_row = rho_rows[r]
-        for s, (j, m) in enumerate(index):
-            total += rho_row[s] * (p_rows[j][i] * q_rows[m][k])
+    for i, x_row in enumerate(x_rows):
+        for x, p_row in zip(x_row, p_rows):
+            total += x * p_row[i]
     return total
 
 
 def enumerate_table(rho: DensityMatrix, pairing: ObservablePairing) -> OutcomeTable:
-    """One entry per (Alice projector, Bob projector) pair.
+    """One entry per (Alice projector, Bob projector) pair, Alice's outer.
 
-    Each probability is tr[rho kron(P_a, Q_b)], computed with the naive
-    loop arithmetic above; each projector is converted to lists once.
+    Each probability is tr[rho kron(P_a, Q_b)], computed in two loop stages
+    without forming the product: Bob's partial trace X_b of rho against Q_b
+    (D^2 terms per Q_b), then tr[X_b P_a] (d_A^2 terms per cell). rho and each
+    projector are converted to lists once.
     """
-    if not rho.is_bipartite or rho.dims != (pairing.alice.dim, pairing.bob.dim):
+    dim_a, dim_b = pairing.alice.dim, pairing.bob.dim
+    if not rho.is_bipartite or rho.dims != (dim_a, dim_b):
         raise OracleError(
-            f"state dims {rho.dims} do not match pairing "
-            f"({pairing.alice.dim}, {pairing.bob.dim})"
+            f"state dims {rho.dims} do not match pairing ({dim_a}, {dim_b})"
         )
     rho_rows = _as_lists(rho.matrix)
-    index = [divmod(r, pairing.bob.dim) for r in range(rho.dim)]
     bob = pairing.bob.spectral
-    bob_rows = [_as_lists(q) for q in bob.projectors]
+    partials = [
+        _bob_partial_trace(rho_rows, _as_lists(q), dim_a, dim_b) for q in bob.projectors
+    ]
     # a state with eigenvalues >= -PSD_TOL gives probabilities >= -PSD_TOL * D;
     # those between that floor and PROB_CLAMP are set to 0
     floor = -PSD_TOL * rho.dim
@@ -73,9 +92,9 @@ def enumerate_table(rho: DensityMatrix, pairing: ObservablePairing) -> OutcomeTa
     for a_val, a_proj in zip(
         pairing.alice.spectral.eigenvalues, pairing.alice.spectral.projectors
     ):
-        a_rows = _as_lists(a_proj)
-        for b_val, q_rows in zip(bob.eigenvalues, bob_rows):
-            prob = _trace_kron(rho_rows, a_rows, q_rows, index).real
+        p_rows = _as_lists(a_proj)
+        for b_val, x_rows in zip(bob.eigenvalues, partials):
+            prob = _trace_product(x_rows, p_rows).real
             if prob < floor:
                 raise OracleError(f"negative probability {prob:.3e}")
             total += prob

@@ -94,13 +94,18 @@ def _table_checks(raw: np.ndarray, dim: int) -> list:
 
 
 def _order_checks(fields: dict) -> list:
-    """var_inf >= var_min - VARIANCE_ORDER_TOL * max(1, |var_min|), float or (N,)."""
+    """var_inf >= var_min - VARIANCE_ORDER_TOL * max(1, <B^2>), float or (N,).
+
+    <B^2> = var_min + sq_mean_inf by the law of total variance; the absolute
+    values keep a roundoff-negative term from shrinking the tolerance.
+    """
     checks = []
     for key in ("b1", "b2"):
         inf = np.atleast_1d(fields[f"var_inf_{key}"])
         low = np.atleast_1d(fields[f"var_min_{key}"])
+        power = np.abs(low) + np.abs(np.atleast_1d(fields[f"sq_mean_inf_{key}"]))
         checks.append((
-            inf < low - VARIANCE_ORDER_TOL * np.maximum(1.0, np.abs(low)),
+            inf < low - VARIANCE_ORDER_TOL * np.maximum(1.0, power),
             lambda i, key=key, inf=inf, low=low: (
                 f"var_inf_{key} {float(inf[i])!r} below var_min_{key} {float(low[i])!r}"
             ),

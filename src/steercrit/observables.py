@@ -137,18 +137,23 @@ def qutrit_triplet() -> tuple[Observable, Observable, Observable]:
 
 def commutator_observable(b1: Observable, b2: Observable) -> Observable:
     """B3 = -i (B1 B2 - B2 B1), the Hermitian operator with [B1, B2] = i B3."""
-    if b1.dim != b2.dim:
-        raise LinalgError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
-    m = -1j * (b1.matrix @ b2.matrix - b2.matrix @ b1.matrix)
-    return Observable(f"-i[{b1.label},{b2.label}]", m)
+    m = _product(b1, b2)
+    return Observable(f"-i[{b1.label},{b2.label}]", -1j * (m - m.conj().T))
 
 
 def anticommutator_observable(b1: Observable, b2: Observable) -> Observable:
     """B4 = B1 B2 + B2 B1."""
+    m = _product(b1, b2)
+    return Observable(f"{{{b1.label},{b2.label}}}", m + m.conj().T)
+
+
+def _product(b1: Observable, b2: Observable) -> np.ndarray:
+    """B1 B2; B2 B1 is taken as its conjugate transpose, so the commutator and
+    anticommutator built from it are exactly Hermitian at any scale (two
+    separate products would leave a roundoff residual of order max|B|^2)."""
     if b1.dim != b2.dim:
         raise LinalgError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
-    m = b1.matrix @ b2.matrix + b2.matrix @ b1.matrix
-    return Observable(f"{{{b1.label},{b2.label}}}", m)
+    return b1.matrix @ b2.matrix
 
 
 def difference_observable(b1: Observable, b2: Observable) -> Observable:

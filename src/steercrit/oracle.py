@@ -181,16 +181,20 @@ def _naive_matmul(x, y) -> list[list[complex]]:
 
 
 def _derived_observable(kind: str, first: Observable, second: Observable) -> Observable:
-    """B3/B4/B0 ("commutator", "anticommutator", "difference") by naive multiplies."""
+    """B3/B4/B0 ("commutator", "anticommutator", "difference") by one naive multiply."""
     x, y = _as_lists(first.matrix), _as_lists(second.matrix)
     n = len(x)
-    xy, yx = _naive_matmul(x, y), _naive_matmul(y, x)
-    if kind == "commutator":
-        rows = [[-1j * (xy[i][j] - yx[i][j]) for j in range(n)] for i in range(n)]
-    elif kind == "anticommutator":
-        rows = [[xy[i][j] + yx[i][j] for j in range(n)] for i in range(n)]
-    else:
+    if kind == "difference":
         rows = [[x[i][j] - y[i][j] for j in range(n)] for i in range(n)]
+    else:
+        # yx = (xy)^dagger for Hermitian x, y; taking it so keeps the results
+        # exactly Hermitian
+        xy = _naive_matmul(x, y)
+        yx = [[xy[j][i].conjugate() for j in range(n)] for i in range(n)]
+        if kind == "commutator":
+            rows = [[-1j * (xy[i][j] - yx[i][j]) for j in range(n)] for i in range(n)]
+        else:
+            rows = [[xy[i][j] + yx[i][j] for j in range(n)] for i in range(n)]
     return Observable(f"oracle:{kind}({first.label},{second.label})", rows)
 
 

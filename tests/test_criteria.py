@@ -104,8 +104,8 @@ def test_margin_scales_with_observables(family, mode):
 
 @pytest.mark.parametrize("mode", (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN))
 def test_margin_scales_with_random_qutrit_observables(rng, mode):
-    # -i[B1, B2] of dense observables carries roundoff of order 1e-16 s^2, so
-    # its Hermiticity check has to scale with the entries
+    # products of dense observables carry roundoff of order 1e-16 s^2, which
+    # no Hermiticity or variance-order check may mistake for a fault
     rho = isotropic(3, 0.5)
     for _ in range(20):
         m1, m2 = random_hermitian(rng, 3), random_hermitian(rng, 3)

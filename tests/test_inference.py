@@ -35,7 +35,7 @@ from steercrit import (
     spin_half,
 )
 
-from conftest import random_bipartite, random_observable
+from conftest import random_bipartite, random_observable, rotated
 
 
 def _pairing(obs: Observable) -> ObservablePairing:
@@ -267,3 +267,20 @@ def test_full_moments_ordering_holds_on_random_instances(seed):
     m = full_moments(rho, random_observable(rng, d, "B1"), random_observable(rng, d, "B2"))
     assert m.var_inf_b1 >= m.var_min_b1 - 1e-10
     assert m.var_inf_b2 >= m.var_min_b2 - 1e-10
+
+
+@pytest.mark.parametrize("s", (1e3, 1e4, 1e7))
+def test_variance_order_holds_for_scaled_observables(s):
+    # on the maximally entangled state inference is perfect, so var_inf and
+    # var_min are both 0 up to roundoff of order 1e-16 <B^2> = 1e-16 s^2; a
+    # tolerance relative to var_min alone raised "var_inf below var_min"
+    rng = np.random.default_rng(5151)
+    rho = isotropic(3, 1.0)
+    for _ in range(100):
+        b1, b2 = (
+            Observable(label, s * rotated(rng, label, [1.0, 0.0, -1.0]).matrix)
+            for label in ("B1", "B2")
+        )
+        m = full_moments(rho, b1, b2)
+        for var in (m.var_inf_b1, m.var_inf_b2, m.var_min_b1, m.var_min_b2):
+            assert 0.0 <= var <= 1e-12 * s * s

@@ -14,7 +14,9 @@ from steercrit import (
     Observable,
     OracleError,
     SpectralDecomposition,
+    anticommutator_observable,
     audit_dump,
+    commutator_observable,
     default_pairing,
     eig_hermitian,
     enumerate_table,
@@ -28,7 +30,7 @@ from steercrit import (
     table_moment,
 )
 
-from conftest import random_bipartite, random_observable
+from conftest import random_bipartite, random_observable, rotated
 
 
 def _prob_of(table, a, b):
@@ -55,20 +57,56 @@ def test_uniform_table_on_mixed_qutrits():
         assert prob == pytest.approx(1 / 9, abs=1e-12)
 
 
-def test_table_entries_match_dense_kron_traces(rng):
+def _dense_table_cases(rng):
+    """(state, pairing) pairs: full-rank and rank-deficient states, with the
+    default pairing and with an Alice observable whose spectrum is degenerate."""
     for d in (2, 3, 4):
         for _ in range(5):
-            rho = random_bipartite(rng, d, d)
-            pairing = default_pairing(random_observable(rng, d))
-            table = enumerate_table(rho, pairing)
-            expected = [
-                np.trace(rho.matrix @ np.kron(p, q)).real
-                for p in pairing.alice.spectral.projectors
-                for q in pairing.bob.spectral.projectors
-            ]
-            assert len(table.entries) == len(expected)
-            for (_, _, prob), ref in zip(table.entries, expected):
-                assert prob == pytest.approx(ref, abs=1e-14)
+            yield random_bipartite(rng, d, d), default_pairing(random_observable(rng, d))
+    for d, spectrum in ((3, [1.0, 1.0, -1.0]), (4, [1.0, 1.0, 0.0, -1.0])):
+        for rank in (1, 2, d * d):
+            for _ in range(3):
+                bob = random_observable(rng, d, "B")
+                rule = explicit_pairing({"B": rotated(rng, "A", spectrum)})
+                yield random_bipartite(rng, d, d, rank), rule(bob)
+    for d in (2, 3, 4):
+        for rank in (1, 2):
+            yield random_bipartite(rng, d, d, rank), default_pairing(random_observable(rng, d))
+
+
+def test_table_entries_match_dense_kron_traces(rng):
+    alice_ranks = set()
+    for rho, pairing in _dense_table_cases(rng):
+        table = enumerate_table(rho, pairing)
+        expected = [
+            np.trace(rho.matrix @ np.kron(p, q)).real
+            for p in pairing.alice.spectral.projectors
+            for q in pairing.bob.spectral.projectors
+        ]
+        assert len(table.entries) == len(expected)
+        for (_, _, prob), ref in zip(table.entries, expected):
+            assert prob == pytest.approx(ref, abs=1e-14)
+        alice_ranks |= {round(np.trace(p).real) for p in pairing.alice.spectral.projectors}
+    # the degenerate spectra were merged into a rank-2 outcome
+    assert alice_ranks == {1, 2}
+
+
+@pytest.mark.parametrize("s", (1e3, 1e4))
+def test_scaled_near_commuting_pair_builds_on_both_routes(s):
+    # B1 is s * I up to roundoff, so [B1, B2] vanishes; building -i[B1, B2]
+    # from two products left a residual of order 1e-16 s^2 against its own
+    # tiny entries and raised "not Hermitian"
+    rng = np.random.default_rng(4242)
+    rho = isotropic(2, 0.5)
+    for _ in range(50):
+        b1 = Observable("B1", s * rotated(rng, "U", [1.0, 1.0]).matrix)
+        b2 = Observable("B2", s * rotated(rng, "V", [0.5, -0.5]).matrix)
+        engine = full_moments(rho, b1, b2).as_dict()
+        for key, val in oracle_moments(rho, b1, b2).items():
+            assert engine[key] == pytest.approx(val, abs=1e-10 * s * s), key
+        for derive in (commutator_observable, anticommutator_observable):
+            m = derive(b1, b2).matrix
+            assert np.array_equal(m, m.conj().T)
 
 
 def test_isotropic_qubit_table_in_x():

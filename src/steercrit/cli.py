@@ -27,12 +27,7 @@ from .closed_forms import (
     write_diff_csv,
 )
 from .criteria import CRITERION_SRUR, evaluate_criterion
-from .families import (
-    FamilyError,
-    family_for_dimension,
-    family_observables,
-    family_state,
-)
+from .families import FamilyError, family_observables, family_state
 from .inference import MODE_LINEAR_G, InferenceError, full_moments
 from .linalg import LinalgError
 from .observables import (
@@ -48,6 +43,7 @@ from .thresholds import (
     ThresholdError,
     family_evaluator,
     find_threshold,
+    resolve_family,
     sweep,
     sweep_csv_text,
 )
@@ -139,13 +135,6 @@ def _check_out_dir(path: Path) -> None:
         raise _ConfigError(f"cannot write {path}: it is a directory")
 
 
-def _check_isotropic_dim(d: int | None) -> str:
-    """The name of the built-in family of local dimension d."""
-    if d is None:
-        raise _ConfigError("--family isotropic requires --d")
-    return family_for_dimension(d)
-
-
 def _check_p(p: float | None) -> float:
     if p is None:
         raise _ConfigError("--p is required")
@@ -180,7 +169,7 @@ def _cmd_evaluate(args) -> int:
     if args.family == "isotropic":
         if args.state is not None or args.observables is not None:
             raise _ConfigError("--state/--observables are for --family file")
-        family = _check_isotropic_dim(args.d)
+        family = resolve_family("isotropic", args.d)
         p = _check_p(args.p)
         if args.pairing != "transpose" or args.pairing_file is not None:
             raise _ConfigError("the isotropic families use the transpose pairing")
@@ -254,7 +243,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _check_out_dir(args.out)
-    family = _check_isotropic_dim(args.d)
+    family = resolve_family("isotropic", args.d)
     if args.jobs < 1:
         raise _ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     result = sweep(
@@ -270,7 +259,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    family = _check_isotropic_dim(args.d)
+    family = resolve_family("isotropic", args.d)
     if not math.isfinite(args.tol) or args.tol <= 0.0:
         raise _ConfigError(f"--tol must be positive and finite, got {args.tol}")
     result = find_threshold(

@@ -34,12 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERION_SRUR, CriterionReport, criterion_sides
+from .criteria import CRITERION_SRUR, CriterionReport
 from .families import FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2, family_descriptor
-from .inference import MODE_LINEAR_G, InferredMoments
-
-
-MODE_CLOSED_FORM = "paper-closed-form"
+from .inference import MODE_CLOSED_FORM, InferredMoments
 
 
 class ClosedFormError(ValueError):
@@ -114,16 +111,13 @@ def closed_forms_for(family: str, p) -> InferredMoments:
 def closed_form_report(
     family: str, p: float, criterion: str = CRITERION_SRUR
 ) -> CriterionReport:
-    """Assemble the criterion from closed-form moments, mode-tagged.
+    """The criterion on the family's closed-form moments at a float p.
 
-    The closed-form lhs is the var_inf product, the linear-g lhs. p is
-    evaluated as a grid of one, so the report equals a sweep row at p bit
-    for bit.
+    The closed forms take the same IEEE operations on a float as on a grid,
+    so the report equals a sweep row at p bit for bit.
     """
-    moments = closed_forms_for(family, [p])
-    lhs, rhs = criterion_sides(moments, criterion, MODE_LINEAR_G)
     return CriterionReport(
-        criterion, MODE_CLOSED_FORM, float(lhs[0]), float(rhs[0]), moments.row(0),
+        criterion, MODE_CLOSED_FORM, closed_forms_for(family, p),
         family_descriptor(family, p),
     )
 

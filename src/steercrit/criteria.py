@@ -14,9 +14,10 @@ is an SRUR violation but not conversely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .inference import (
+    MODE_CLOSED_FORM,
     MODE_CONDITIONAL_MEAN,
     MODE_LINEAR_G,
     InferenceError,
@@ -36,20 +37,63 @@ from .states import DensityMatrix
 CRITERION_SRUR = "srur"
 CRITERION_HUR = "hur"
 
+MODES = (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN, MODE_CLOSED_FORM)
+CRITERIA = (CRITERION_SRUR, CRITERION_HUR)
+
+
+def hur_rhs(moments: InferredMoments) -> float:
+    # c * c, not c ** 2: a float's ** is libm pow, while numpy squares an
+    # (N,) array as c * c, and the two routes must round alike
+    c = moments.abs_mean_inf_commutator
+    return 0.25 * (c * c)
+
+
+def srur_rhs(moments: InferredMoments) -> float:
+    cov = 0.5 * moments.mean_inf_anticommutator - moments.product_of_means_inf
+    return hur_rhs(moments) + cov * cov
+
+
+def criterion_sides(moments, criterion: str, mode: str):
+    """(lhs, rhs) of one criterion in one mode.
+
+    The conditional-mean lhs is the var_min product. The linear-g and the
+    paper-closed-form lhs are the var_inf product: the closed forms state
+    the inferred variances of the linear estimator. A record of floats gives
+    floats; a record of (N,) arrays gives (N,) arrays, computed row by row
+    with the same IEEE operations.
+    """
+    if criterion not in CRITERIA:
+        raise InferenceError(f"unknown criterion {criterion!r}")
+    if mode == MODE_CONDITIONAL_MEAN:
+        lhs = moments.var_min_b1 * moments.var_min_b2
+    elif mode in (MODE_LINEAR_G, MODE_CLOSED_FORM):
+        lhs = moments.var_inf_b1 * moments.var_inf_b2
+    else:
+        raise InferenceError(f"unknown mode {mode!r}")
+    rhs = srur_rhs(moments) if criterion == CRITERION_SRUR else hur_rhs(moments)
+    return lhs, rhs
+
 
 @dataclass(frozen=True, eq=False)
 class CriterionReport:
-    """One criterion evaluation: bound sides and all moments.
+    """One criterion evaluation: its moments and the sides derived from them.
 
-    The margin lhs - rhs and the violated flag are derived from the sides.
+    lhs and rhs are criterion_sides of the moments, computed when the report
+    is built, so they cannot disagree with the moments; the margin lhs - rhs
+    and the violated flag are derived from the sides.
     """
 
     criterion: str
     mode: str
-    lhs: float
-    rhs: float
     moments: InferredMoments
     state_descriptor: str
+    lhs: float = field(init=False)
+    rhs: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        lhs, rhs = criterion_sides(self.moments, self.criterion, self.mode)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def margin(self) -> float:
@@ -73,34 +117,6 @@ class CriterionReport:
         }
 
 
-def srur_rhs(moments: InferredMoments) -> float:
-    comm = 0.25 * moments.abs_mean_inf_commutator ** 2
-    cov = 0.5 * moments.mean_inf_anticommutator - moments.product_of_means_inf
-    return comm + cov * cov
-
-
-def hur_rhs(moments: InferredMoments) -> float:
-    return 0.25 * moments.abs_mean_inf_commutator ** 2
-
-
-def criterion_sides(moments, criterion: str, mode: str):
-    """(lhs, rhs) of one criterion in one engine mode.
-
-    A record of floats gives floats; a record of (N,) arrays gives (N,)
-    arrays, computed row by row.
-    """
-    if criterion not in (CRITERION_SRUR, CRITERION_HUR):
-        raise InferenceError(f"unknown criterion {criterion!r}")
-    if mode == MODE_LINEAR_G:
-        lhs = moments.var_inf_b1 * moments.var_inf_b2
-    elif mode == MODE_CONDITIONAL_MEAN:
-        lhs = moments.var_min_b1 * moments.var_min_b2
-    else:
-        raise InferenceError(f"unknown engine mode {mode!r}")
-    rhs = srur_rhs(moments) if criterion == CRITERION_SRUR else hur_rhs(moments)
-    return lhs, rhs
-
-
 def evaluate_criterion(
     rho: DensityMatrix,
     b1: Observable,
@@ -110,12 +126,14 @@ def evaluate_criterion(
     criterion: str = CRITERION_SRUR,
     state_descriptor: str | None = None,
 ) -> CriterionReport:
-    """Evaluate one criterion on one state."""
-    moments = full_moments(rho, b1, b2, pairing_rule)
+    """Evaluate one criterion on one state in an engine mode."""
+    if mode == MODE_CLOSED_FORM:
+        raise InferenceError(f"unknown engine mode {mode!r}")
     if state_descriptor is None:
         state_descriptor = f"dims={rho.dims}; observables=({b1.label},{b2.label})"
-    lhs, rhs = criterion_sides(moments, criterion, mode)
-    return CriterionReport(criterion, mode, lhs, rhs, moments, state_descriptor)
+    return CriterionReport(
+        criterion, mode, full_moments(rho, b1, b2, pairing_rule), state_descriptor
+    )
 
 
 def evaluate_srur(

@@ -44,6 +44,8 @@ from .tolerances import (
 
 MODE_LINEAR_G = "linear-g"
 MODE_CONDITIONAL_MEAN = "conditional-mean"
+# the published closed forms of closed_forms, not an engine estimator
+MODE_CLOSED_FORM = "paper-closed-form"
 
 
 class InferenceError(ValueError):

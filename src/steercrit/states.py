@@ -46,6 +46,22 @@ def _check_dims(dims, dim: int) -> tuple[tuple[int, ...], str | None]:
     return dims, None
 
 
+def _trace_invariants(m: np.ndarray) -> tuple[float, complex, str | None]:
+    """Hermiticity residual, trace, and why the first failing one fails.
+
+    The reason is None when both are within their tolerances. This is the
+    one copy of these bounds: DensityMatrix and state_diagnostics both judge
+    a matrix here, so neither rejects what the other accepts.
+    """
+    herm = max_abs(m - m.conj().T)
+    tr = complex(np.trace(m))
+    if herm >= HERMITICITY_TOL:
+        return herm, tr, f"not Hermitian (residual {herm:.3e})"
+    if abs(tr - 1.0) >= TRACE_TOL:
+        return herm, tr, f"trace {tr.real:.12g} is not 1"
+    return herm, tr, None
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A quantum state with its subsystem structure.
@@ -62,14 +78,9 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = as_matrix(self.matrix)
         dims, problem = _check_dims(self.dims, m.shape[0])
+        problem = problem or _trace_invariants(m)[2]
         if problem:
             raise InvalidStateError(problem)
-        herm = max_abs(m - m.conj().T)
-        if herm >= HERMITICITY_TOL:
-            raise InvalidStateError(f"not Hermitian (residual {herm:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) >= TRACE_TOL:
-            raise InvalidStateError(f"trace {tr:.12g} is not 1")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -112,8 +123,7 @@ def isotropic(d: int, p: float) -> DensityMatrix:
 def state_diagnostics(m) -> dict:
     """Measure every density-matrix invariant on an arbitrary square matrix."""
     m = as_matrix(m)
-    herm = max_abs(m - m.conj().T)
-    tr = complex(np.trace(m))
+    herm, tr, problem = _trace_invariants(m)
     info: dict = {
         "dim": int(m.shape[0]),
         "hermiticity_residual": float(herm),
@@ -121,13 +131,9 @@ def state_diagnostics(m) -> dict:
         "trace_imag": float(tr.imag),
         "min_eigenvalue": None,
         "valid": False,
-        "reason": None,
+        "reason": problem,
     }
-    if herm >= HERMITICITY_TOL:
-        info["reason"] = f"not Hermitian (residual {herm:.3e})"
-        return info
-    if abs(tr - 1.0) >= TRACE_TOL:
-        info["reason"] = f"trace {tr.real:.12g} is not 1"
+    if problem:
         return info
     # the smallest eigenvalue itself: eig_hermitian's merged outcomes could
     # average a negative eigenvalue with a positive neighbour

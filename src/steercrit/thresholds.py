@@ -11,8 +11,10 @@ calls instead of 27, with the result of a one-point-at-a-time bisection.
 Every mode evaluates a whole grid of p in one vectorised pass: the engine
 modes through families.family_moments, the closed-form mode through
 closed_forms.closed_forms_for, and a sweep keeps the grid's p, lhs, rhs and
-margin as four (N,) columns. A single p is a grid of one, so a sweep point
-and the evaluator at the same p agree bit for bit.
+margin as four (N,) columns. The engine evaluator takes a single p as a
+grid of one, and the closed forms take the same IEEE operations on a float
+p as on a grid, so a sweep point and the evaluator at the same p agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_forms import MODE_CLOSED_FORM, closed_form_report, closed_forms_for
+from .closed_forms import closed_form_report, closed_forms_for
 from .criteria import (
-    CRITERION_HUR,
+    CRITERIA,
     CRITERION_SRUR,
+    MODES,
     CriterionReport,
     criterion_sides,
 )
@@ -38,7 +41,7 @@ from .families import (
     family_for_dimension,
     family_moments,
 )
-from .inference import MODE_CONDITIONAL_MEAN, MODE_LINEAR_G
+from .inference import MODE_CLOSED_FORM, MODE_LINEAR_G
 
 
 DEFAULT_TOL = 1e-9
@@ -48,9 +51,6 @@ _BISECT_MAX_ITER = 60
 _PRE_SWEEP_POINTS = 32
 # bisection steps evaluated per batched call: 2**depth - 1 midpoints
 _TREE_DEPTH = 6
-
-MODES = (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN, MODE_CLOSED_FORM)
-CRITERIA = (CRITERION_SRUR, CRITERION_HUR)
 
 
 class ThresholdError(RuntimeError):
@@ -119,8 +119,6 @@ def _family_sides(family: str, criterion: str, mode: str) -> Callable:
     _check_config(criterion, mode)
     if mode == MODE_CLOSED_FORM:
         moments_at = functools.partial(closed_forms_for, family)
-        # the closed-form lhs is the var_inf product, the linear-g lhs
-        mode = MODE_LINEAR_G
     else:
         moments_at = family_moments(family)
     return lambda ps: criterion_sides(moments_at(ps), criterion, mode)
@@ -138,16 +136,9 @@ def family_evaluator(
     if mode == MODE_CLOSED_FORM:
         return lambda p: closed_form_report(family, p, criterion)
     moments_at = family_moments(family)
-
-    def evaluate(p: float) -> CriterionReport:
-        moments = moments_at([p])
-        lhs, rhs = criterion_sides(moments, criterion, mode)
-        return CriterionReport(
-            criterion, mode, float(lhs[0]), float(rhs[0]), moments.row(0),
-            family_descriptor(family, p),
-        )
-
-    return evaluate
+    return lambda p: CriterionReport(
+        criterion, mode, moments_at([p]).row(0), family_descriptor(family, p)
+    )
 
 
 def sweep(

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +140,38 @@ def test_validate_state_invalid(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["valid"] is False
     assert "eigenvalue" in blob["reason"]
+
+
+def test_exit_codes_of_a_real_process(tmp_path):
+    # main() returns the code; python -m steercrit must hand it, and
+    # argparse's usage errors, to the operating system
+    src = Path(steercrit.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        state_to_json(DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), dims=(2, 2)))
+    ))
+    pair = tmp_path / "obs.json"
+    pair.write_text(json.dumps([observable_to_json(spin_half(a)) for a in "xz"]))
+    cases = [
+        (0, ["evaluate", "--d", "2", "--p", "0.7"]),
+        (1, ["validate-state", "--state", str(bad)]),
+        (2, ["evaluate", "--d", "two", "--p", "0.5"]),
+        (2, ["evaluate", "--d", "4", "--p", "0.5"]),
+        (3, ["evaluate", "--family", "file", "--state", str(bad),
+             "--observables", str(pair)]),
+    ]
+    for code, argv in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "steercrit", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == code, (argv, done.stderr)
+        assert "Traceback" not in done.stderr, argv
+        if code == 1:  # a verdict on the state, reported on stdout
+            assert json.loads(done.stdout)["valid"] is False
+        elif code:
+            assert "error:" in done.stderr, argv
 
 
 def test_validate_state_malformed(tmp_path, capsys):

@@ -13,7 +13,10 @@ from steercrit import (
     FAMILIES,
     MODE_CONDITIONAL_MEAN,
     MODE_LINEAR_G,
+    CriterionReport,
     InferenceError,
+    InferredMoments,
+    MeasurementSettings,
     Observable,
     evaluate_criterion,
     evaluate_srur,
@@ -22,6 +25,8 @@ from steercrit import (
     full_moments,
     hur_rhs,
     isotropic,
+    joint_tables,
+    moment_batch,
     qutrit_triplet,
     spin_half,
     srur_rhs,
@@ -29,9 +34,10 @@ from steercrit import (
     variance,
 )
 from steercrit import DensityMatrix
+from steercrit.criteria import CRITERIA, criterion_sides
 from steercrit.thresholds import MODES, family_evaluator
 
-from conftest import random_density, random_hermitian, random_observable
+from conftest import random_bipartite, random_density, random_hermitian, random_observable
 
 
 def _qubit(p: float):
@@ -137,6 +143,43 @@ def test_violated_iff_negative_margin():
                     assert report.violated == (report.margin < 0.0), where
     with pytest.raises(AttributeError):
         report.margin = 0.0
+
+
+def test_float_and_array_records_round_alike():
+    # libm's c ** 2 rounds this c one ulp away from c * c, numpy's square
+    c = 0.42672114373024106
+    values = dict(
+        var_inf_b1=0.31, var_inf_b2=0.27, var_min_b1=0.29, var_min_b2=0.23,
+        abs_mean_inf_commutator=c, mean_inf_anticommutator=0.13,
+        sq_mean_inf_b1=0.11, sq_mean_inf_b2=0.07, sq_mean_inf_b0=0.1,
+        product_of_means_inf=0.04, g1=0.6, g2=0.5,
+    )
+    record = InferredMoments(**values)
+    twin = InferredMoments(**{k: np.array([v]) for k, v in values.items()})
+    assert hur_rhs(record) == hur_rhs(twin)[0]
+    assert srur_rhs(record) == srur_rhs(twin)[0]
+    for criterion in CRITERIA:
+        for mode in MODES:
+            report = CriterionReport(criterion, mode, record, "twin")
+            lhs, rhs = criterion_sides(twin, criterion, mode)
+            assert (report.lhs, report.rhs) == (lhs[0], rhs[0]), (criterion, mode)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_evaluator_equals_the_sides_of_its_batch(d):
+    # the report's float sides equal the (1,)-array sides of the same
+    # state's batch bit for bit
+    rng = np.random.default_rng(7 + d)
+    b1, b2 = random_observable(rng, d, "B1"), random_observable(rng, d, "B2")
+    settings_ = MeasurementSettings.build(b1, b2)
+    for _ in range(100):
+        rho = random_bipartite(rng, d, d)
+        batch = moment_batch(settings_, joint_tables(settings_, rho.matrix[None]), d * d)
+        for mode in (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN):
+            for criterion in CRITERIA:
+                lhs, rhs = criterion_sides(batch, criterion, mode)
+                report = evaluate_criterion(rho, b1, b2, mode=mode, criterion=criterion)
+                assert (report.lhs, report.rhs) == (lhs[0], rhs[0]), (mode, criterion)
 
 
 def test_hur_equals_srur_when_covariance_term_vanishes():

@@ -129,6 +129,19 @@ def test_validate_flags_wrong_trace():
         validate(m)
 
 
+def test_construction_and_validation_give_one_reason():
+    for m, reason in (
+        (np.eye(4) / 2, "trace 2 is not 1"),
+        (np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1), "not Hermitian (residual 1.000e+00)"),
+    ):
+        with pytest.raises(InvalidStateError) as built:
+            DensityMatrix(m, dims=(2, 2))
+        with pytest.raises(InvalidStateError) as validated:
+            validate(m, dims=(2, 2))
+        assert str(built.value) == str(validated.value) == reason
+        assert state_diagnostics(m)["reason"] == reason
+
+
 def test_validate_accepts_valid_state():
     info = state_diagnostics(np.eye(3) / 3)
     assert info["valid"]

@@ -53,23 +53,17 @@ class _ConfigError(Exception):
     """Flag combination the commands cannot act on."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="steercrit",
-        description="Inferred-variance steering criteria on bipartite states.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_family_flags(p: argparse.ArgumentParser, with_file: bool) -> None:
+    choices = ("isotropic", "file") if with_file else ("isotropic",)
+    p.add_argument("--family", choices=choices, default="isotropic")
+    p.add_argument("--d", type=int, default=None,
+                   help="local dimension of the isotropic family (2 or 3)")
+    p.add_argument("--criterion", choices=CRITERIA, default=CRITERION_SRUR)
+    p.add_argument("--mode", choices=MODES, default=MODE_LINEAR_G)
 
-    def add_family_flags(p: argparse.ArgumentParser, with_file: bool) -> None:
-        choices = ("isotropic", "file") if with_file else ("isotropic",)
-        p.add_argument("--family", choices=choices, default="isotropic")
-        p.add_argument("--d", type=int, default=None,
-                       help="local dimension of the isotropic family (2 or 3)")
-        p.add_argument("--criterion", choices=CRITERIA, default=CRITERION_SRUR)
-        p.add_argument("--mode", choices=MODES, default=MODE_LINEAR_G)
 
-    ev = sub.add_parser("evaluate", help="evaluate one criterion at one p")
-    add_family_flags(ev, with_file=True)
+def _add_evaluate_flags(ev: argparse.ArgumentParser) -> None:
+    _add_family_flags(ev, with_file=True)
     ev.add_argument("--p", type=float, default=None)
     ev.add_argument("--pairing", choices=("transpose", "file"), default="transpose")
     ev.add_argument("--state", type=Path, default=None,
@@ -83,8 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", type=Path, default=None,
                     help="audit bundle path (required with --audit)")
 
-    sw = sub.add_parser("sweep", help="criterion over a uniform p grid, as CSV")
-    add_family_flags(sw, with_file=False)
+
+def _add_sweep_flags(sw: argparse.ArgumentParser) -> None:
+    _add_family_flags(sw, with_file=False)
     sw.add_argument("--p-start", type=float, default=0.0)
     sw.add_argument("--p-end", type=float, default=1.0)
     sw.add_argument("--steps", type=int, default=101)
@@ -94,13 +89,32 @@ def _build_parser() -> argparse.ArgumentParser:
                          "depends on it")
     sw.add_argument("--out", type=Path, required=True, help="CSV output path")
 
-    th = sub.add_parser("threshold", help="bisect the violation threshold in p")
-    add_family_flags(th, with_file=False)
+
+def _add_threshold_flags(th: argparse.ArgumentParser) -> None:
+    _add_family_flags(th, with_file=False)
     th.add_argument("--tol", type=float, default=1e-9)
 
-    va = sub.add_parser("validate-state", help="check a state JSON file")
+
+def _add_validate_state_flags(va: argparse.ArgumentParser) -> None:
     va.add_argument("--state", type=Path, required=True)
 
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: every command is listed, but only a command
+    named by some token of argv gets its flags.
+
+    argparse hands the remaining tokens only to the subparser that a token
+    names, so the other subparsers are never called and need no flags.
+    """
+    parser = argparse.ArgumentParser(
+        prog="steercrit",
+        description="Inferred-variance steering criteria on bipartite states.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if name in argv:
+            add_flags(command)
     return parser
 
 
@@ -128,10 +142,17 @@ def _write_file(path, write) -> None:
 
 
 def _check_out_dir(path: Path) -> None:
-    """Fail before any work, not after it, when path cannot be written."""
-    if not path.parent.is_dir():
-        raise _ConfigError(f"cannot write {path}: no directory {path.parent}")
-    if path.is_dir():
+    """Fail before any work, not after it, when path cannot be written.
+
+    A symlink is checked where it points; a symlink loop is a usage error.
+    """
+    try:
+        target = path.resolve()
+    except (RuntimeError, OSError) as exc:  # Python < 3.13 raises RuntimeError
+        raise _ConfigError(f"cannot write {path}: {exc}") from None
+    if not target.parent.is_dir():
+        raise _ConfigError(f"cannot write {path}: no directory {target.parent}")
+    if target.is_dir():
         raise _ConfigError(f"cannot write {path}: it is a directory")
 
 
@@ -278,18 +299,23 @@ def _cmd_validate_state(args) -> int:
     return 0 if info["valid"] else 1
 
 
+# command -> (help, flag adder, runner)
 _COMMANDS = {
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "threshold": _cmd_threshold,
-    "validate-state": _cmd_validate_state,
+    "evaluate": ("evaluate one criterion at one p", _add_evaluate_flags, _cmd_evaluate),
+    "sweep": ("criterion over a uniform p grid, as CSV", _add_sweep_flags, _cmd_sweep),
+    "threshold": ("bisect the violation threshold in p", _add_threshold_flags,
+                  _cmd_threshold),
+    "validate-state": ("check a state JSON file", _add_validate_state_flags,
+                       _cmd_validate_state),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (_ConfigError, FamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,13 @@ Every moment, the linear-g ones included, is a sum over the joint outcome
 tables P(a, b) = tr[rho (P_a tensor Q_b)]. The engine evaluates N states at
 once: each table carries a leading batch axis and each field of the one
 InferredMoments record becomes an (N,) array; a single state is a batch of
-1, and row(i) gives state i's record of floats. Every reduction
-acts row by row, so row i does not depend on N, and a sweep row equals the
-single evaluation at the same state bit for bit.
+1, and row(i) gives state i's record of floats. Every reduction in
+moment_batch acts row by row, so row i of its result depends only on row i
+of its tables, not on N. The contraction in joint_tables does not: einsum
+may round a batch of one state differently, by an ulp or so, from the same
+state inside a larger batch. A family sweep row still equals the family
+evaluator at the same p bit for bit, because both mix the same precomputed
+end-state tables elementwise.
 """
 
 from __future__ import annotations
@@ -306,7 +310,11 @@ def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> I
 def full_moments(
     rho: DensityMatrix, b1: Observable, b2: Observable, pairing_rule=default_pairing
 ) -> InferredMoments:
-    """Compute the complete InferredMoments record of one state, a batch of 1."""
+    """Compute the complete InferredMoments record of one state, a batch of 1.
+
+    Its tables are contracted alone, so it can differ in the last ulp from
+    the same state's row of a larger joint_tables batch.
+    """
     settings = MeasurementSettings.build(b1, b2, pairing_rule)
     _check_state_matches(rho, settings.pairs["b1"])
     return moment_batch(settings, joint_tables(settings, rho.matrix[None]), rho.dim).row(0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -377,17 +378,32 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing_dir"
     # a built-in family's audit also writes <out>.diff.csv
     (tmp_path / "a.json.diff.csv").mkdir()
+    # symlinks are checked where they point: a dangling link into a missing
+    # directory, and a link to itself
+    dangling, loop = tmp_path / "dangling", tmp_path / "loop"
+    dangling.symlink_to(missing / "x")
+    loop.symlink_to(loop)
+    (tmp_path / "b.json.diff.csv").symlink_to(missing / "x")
+    (tmp_path / "c.json.diff.csv").symlink_to(tmp_path / "c.json.diff.csv")
+    audit = ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out")
     for argv in (
         ("sweep", "--d", "3", "--out", str(missing / "x.csv")),
-        ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(missing / "a.json")),
+        (*audit, str(missing / "a.json")),
         ("sweep", "--d", "3", "--out", str(tmp_path)),
-        ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(tmp_path)),
-        ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out", str(tmp_path / "a.json")),
+        (*audit, str(tmp_path)),
+        (*audit, str(tmp_path / "a.json")),
+        ("sweep", "--d", "3", "--out", str(dangling)),
+        ("sweep", "--d", "3", "--out", str(loop)),
+        (*audit, str(dangling)),
+        (*audit, str(loop)),
+        (*audit, str(tmp_path / "b.json")),
+        (*audit, str(tmp_path / "c.json")),
     ):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, ""), argv
         assert "error: cannot write" in err, argv
-    assert not (tmp_path / "a.json").exists()
+    for name in ("a.json", "b.json", "c.json"):
+        assert not (tmp_path / name).exists()
 
 
 def _observable_json(label, matrix):
@@ -529,6 +545,56 @@ def test_threshold_without_crossing_exits_4(capsys, monkeypatch):
     rc, _, err = run(capsys, "threshold", "--d", "2")
     assert rc == 4
     assert "sign change" in err
+
+
+def _exit(capsys, *argv):
+    """(exit code, stdout, stderr) of an argv that argparse itself ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+FAMILY_FLAGS = {"--family", "--d", "--criterion", "--mode"}
+
+
+@pytest.mark.parametrize("command, flags", (
+    ("evaluate", FAMILY_FLAGS | {"--p", "--pairing", "--state", "--observables",
+                                 "--pairing-file", "--audit", "--out"}),
+    ("sweep", FAMILY_FLAGS | {"--p-start", "--p-end", "--steps", "--jobs", "--out"}),
+    ("threshold", FAMILY_FLAGS | {"--tol"}),
+    ("validate-state", {"--state"}),
+))
+def test_command_help_lists_its_readme_flags(capsys, monkeypatch, command, flags):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = _exit(capsys, command, "-h")
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"usage: steercrit {command} [-h]")
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == flags | {"--help"}
+
+
+@pytest.mark.parametrize("argv, code", (
+    (("-h",), 0),
+    ((), 2),
+    (("frobnicate",), 2),
+    (("threshold", "--d", "2", "extra"), 2),
+))
+def test_usage_line_lists_every_command(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = _exit(capsys, *argv)
+    text = out if code == 0 else err
+    assert rc == code
+    assert text.startswith(
+        "usage: steercrit [-h] {evaluate,sweep,threshold,validate-state} ...\n"
+    )
+
+
+def test_unrecognized_arguments_before_the_command(capsys, monkeypatch):
+    # flags given after the command name belong to that command's parser
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = _exit(capsys, "--foo", "sweep", "--d", "2", "--out", "x")
+    assert (rc, out) == (2, "")
+    assert err.endswith("steercrit: error: unrecognized arguments: --foo\n")
 
 
 def test_unknown_arguments_exit_2():

@@ -229,6 +229,24 @@ def test_moment_batch_reports_first_failing_state():
     ).as_dict()
 
 
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_moment_batch_rows_do_not_depend_on_the_batch(d):
+    # the reduction is row by row: a row of a batch of four equals the same
+    # tables reduced as a batch of one, bit for bit (the contraction that
+    # makes the tables is not pinned: einsum may round N = 1 differently)
+    rng = np.random.default_rng(3000 + d)
+    for _ in range(15):
+        settings_ = MeasurementSettings.build(
+            random_observable(rng, d, "B1"), random_observable(rng, d, "B2")
+        )
+        stack = np.stack([random_bipartite(rng, d, d).matrix for _ in range(4)])
+        raw = joint_tables(settings_, stack)
+        batch = moment_batch(settings_, raw, d * d)
+        for i in range(4):
+            alone = moment_batch(settings_, {k: t[i:i + 1] for k, t in raw.items()}, d * d)
+            assert batch.row(i).as_dict() == alone.row(0).as_dict()
+
+
 def test_moment_record_rejects_inverted_variances():
     with pytest.raises(InferenceError):
         InferredMoments(

@@ -340,34 +340,65 @@ def test_audit_on_file_family_has_no_closed_form_diff(tmp_path, capsys):
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
+    csv = str(tmp_path / "s.csv")
+    steps = "steps must be an integer in [2, 1000000], got"
     cases = [
-        ("evaluate", "--p", "0.5"),  # missing --d
-        ("evaluate", "--d", "2"),  # missing --p
-        ("evaluate", "--d", "4", "--p", "0.5"),  # unsupported dimension
-        ("evaluate", "--d", "2", "--p", "1.5"),  # p out of range
-        ("evaluate", "--d", "2", "--p", "0.5", "--audit"),  # audit needs --out
-        ("evaluate", "--d", "2", "--p", "0.5", "--out", "x.json"),  # out needs audit
-        ("evaluate", "--family", "file"),  # missing files
-        ("evaluate", "--family", "file", "--state", "nope.json",
-         "--observables", "nope.json", "--p", "0.5"),  # p is isotropic-only
-        ("evaluate", "--d", "2", "--p", "0.5", "--mode", "paper-closed-form",
-         "--pairing", "file"),  # closed form fixes pairing
-        ("evaluate", "--d", "2", "--p", "0.5",
-         "--pairing-file", "alice.json"),  # pairing-file needs --pairing file
-        ("sweep", "--d", "2", "--p-start", "0.8", "--p-end", "0.2",
-         "--out", str(tmp_path / "s.csv")),
-        ("sweep", "--d", "2", "--steps", "1", "--out", str(tmp_path / "s.csv")),
-        ("sweep", "--d", "2", "--jobs", "0", "--out", str(tmp_path / "s.csv")),
-        ("sweep", "--d", "2", "--steps", "1000001", "--out", str(tmp_path / "s.csv")),
-        ("threshold", "--d", "2", "--tol", "0"),
-        ("threshold", "--d", "2", "--tol", "nan"),
-        ("threshold", "--d", "2", "--tol", "inf"),
-        ("threshold",),  # missing --d
+        (("evaluate", "--p", "0.5"),  # missing --d
+         "family 'isotropic' needs a local dimension d"),
+        (("evaluate", "--d", "2"), "--p is required"),
+        (("evaluate", "--d", "4", "--p", "0.5"),
+         "no built-in family for local dimension 4"),
+        (("evaluate", "--d", "2", "--p", "1.5"), "--p must lie in [0, 1], got 1.5"),
+        (("evaluate", "--d", "2", "--p", "0.5", "--audit"),
+         "--audit requires --out for the audit bundle"),
+        (("evaluate", "--d", "2", "--p", "0.5", "--out", "x.json"),
+         "--out on evaluate is only used with --audit"),
+        (("evaluate", "--family", "file"),
+         "--family file requires --state and --observables"),
+        (("evaluate", "--family", "file", "--state", "nope.json",
+          "--observables", "nope.json", "--p", "0.5"),
+         "--p applies to --family isotropic only"),
+        (("evaluate", "--d", "2", "--p", "0.5", "--mode", "paper-closed-form",
+          "--pairing", "file"),  # closed form fixes pairing
+         "the isotropic families use the transpose pairing"),
+        (("evaluate", "--d", "2", "--p", "0.5", "--pairing-file", "alice.json"),
+         "the isotropic families use the transpose pairing"),
+        (("sweep", "--d", "2", "--p-start", "0.8", "--p-end", "0.2", "--out", csv),
+         "need 0 <= p_start < p_end <= 1, got [0.8, 0.2]"),
+        (("sweep", "--d", "2", "--steps", "1", "--out", csv), f"{steps} 1"),
+        (("sweep", "--d", "2", "--jobs", "0", "--out", csv),
+         "--jobs must be an integer >= 1, got 0"),
+        (("sweep", "--d", "2", "--steps", "1000001", "--out", csv), f"{steps} 1000001"),
+        (("threshold", "--d", "2", "--tol", "0"),
+         "--tol must be positive and finite, got 0.0"),
+        (("threshold", "--d", "2", "--tol", "nan"),
+         "--tol must be positive and finite, got nan"),
+        (("threshold", "--d", "2", "--tol", "inf"),
+         "--tol must be positive and finite, got inf"),
+        (("threshold",), "family 'isotropic' needs a local dimension d"),
+        # two faults in one argv: the first check in the fixed order wins
+        (("evaluate", "--d", "4", "--p", "0.5", "--audit"),
+         "--audit requires --out for the audit bundle"),
+        (("evaluate", "--family", "file", "--mode", "paper-closed-form", "--d", "2"),
+         "mode paper-closed-form requires --family isotropic"),
+        (("sweep", "--d", "4", "--out", str(tmp_path / "missing" / "s.csv")),
+         f"cannot write {tmp_path / 'missing' / 's.csv'}: "
+         f"no directory {(tmp_path / 'missing').resolve()}"),
     ]
-    for argv in cases:
-        rc, _, err = run(capsys, *argv)
-        assert rc == 2, argv
-        assert "error:" in err, argv
+    for argv, message in cases:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), argv
+
+    # the state file is read before the observable file: an invalid state
+    # (exit 3) wins over a malformed observable file (exit 2)
+    state_path = tmp_path / "trace2.json"
+    matrix = [[[float(i == j < 2), 0.0] for j in range(4)] for i in range(4)]
+    state_path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+    obs_path = tmp_path / "garbage.json"
+    obs_path.write_text("{not json")
+    rc, out, err = run(capsys, "evaluate", "--family", "file",
+                       "--state", str(state_path), "--observables", str(obs_path))
+    assert (rc, out, err) == (3, "", "error: trace 2 is not 1\n")
 
 
 def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from stat import S_ISDIR
 
 from .closed_forms import (
     MODE_CLOSED_FORM,
@@ -128,7 +129,7 @@ def _load_json(path: Path):
             return json.load(fh)
     except OSError as exc:
         raise _ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, too deep
         raise _ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -144,24 +145,19 @@ def _write_file(path, write) -> None:
 def _check_out_dir(path: Path) -> None:
     """Fail before any work, not after it, when path cannot be written.
 
-    A symlink is checked where it points; a symlink loop is a usage error.
+    A symlink is checked where it points. Any error but a missing file while
+    checking, such as a symlink loop or a name too long for the filesystem,
+    is a usage error on every Python.
     """
     try:
-        target = path.resolve()
-    except (RuntimeError, OSError) as exc:  # Python < 3.13 raises RuntimeError
+        if S_ISDIR(path.stat().st_mode):
+            raise _ConfigError(f"cannot write {path}: it is a directory")
+    except (FileNotFoundError, NotADirectoryError):
+        parent = path.resolve().parent
+        if not parent.is_dir():
+            raise _ConfigError(f"cannot write {path}: no directory {parent}") from None
+    except OSError as exc:
         raise _ConfigError(f"cannot write {path}: {exc}") from None
-    if not target.parent.is_dir():
-        raise _ConfigError(f"cannot write {path}: no directory {target.parent}")
-    if target.is_dir():
-        raise _ConfigError(f"cannot write {path}: it is a directory")
-
-
-def _check_p(p: float | None) -> float:
-    if p is None:
-        raise _ConfigError("--p is required")
-    if not 0.0 <= p <= 1.0:
-        raise _ConfigError(f"--p must lie in [0, 1], got {p}")
-    return float(p)
 
 
 def _load_observable_pair(path: Path):
@@ -174,29 +170,30 @@ def _load_observable_pair(path: Path):
         raise _ConfigError(f"bad observable in {path}: {exc}") from None
 
 
-def _cmd_evaluate(args) -> int:
-    if args.audit and args.out is None:
+def _resolve(args) -> tuple:
+    """The inputs that a command's flags name, checked before any work.
+
+    Returns (family, p, rho, b1, b2, rule, descriptor). family is the
+    built-in family name, or None for --family file. sweep and threshold
+    get the family alone, and only a file gets a descriptor: a built-in
+    family's report names its own state. --audit is checked against --out,
+    then every output path, then the other flags, in a fixed order; the
+    first failing check is the error reported.
+    """
+    evaluate = args.command == "evaluate"
+    out = getattr(args, "out", None)  # sweep's CSV or the audit bundle
+    if evaluate and args.audit and out is None:
         raise _ConfigError("--audit requires --out for the audit bundle")
-    if not args.audit and args.out is not None:
+    if evaluate and not args.audit and out is not None:
         raise _ConfigError("--out on evaluate is only used with --audit")
-    if args.audit:
-        _check_out_dir(args.out)
-        if args.family == "isotropic":
-            _check_out_dir(Path(f"{args.out}.diff.csv"))
+    if out is not None:
+        _check_out_dir(out)
+        if evaluate and args.family == "isotropic":
+            _check_out_dir(Path(f"{out}.diff.csv"))
 
-    if args.mode == MODE_CLOSED_FORM and args.family != "isotropic":
-        raise _ConfigError("mode paper-closed-form requires --family isotropic")
-
-    if args.family == "isotropic":
-        if args.state is not None or args.observables is not None:
-            raise _ConfigError("--state/--observables are for --family file")
-        family = resolve_family("isotropic", args.d)
-        p = _check_p(args.p)
-        if args.pairing != "transpose" or args.pairing_file is not None:
-            raise _ConfigError("the isotropic families use the transpose pairing")
-        report = family_evaluator(family, args.criterion, args.mode)(p)
-    else:
-        family = None
+    if args.family == "file":
+        if args.mode == MODE_CLOSED_FORM:
+            raise _ConfigError("mode paper-closed-form requires --family isotropic")
         if args.d is not None:
             raise _ConfigError("--d applies to --family isotropic only")
         if args.p is not None:
@@ -220,21 +217,34 @@ def _cmd_evaluate(args) -> int:
             if args.pairing_file is not None:
                 raise _ConfigError("--pairing-file requires --pairing file")
             rule = default_pairing
-        report = evaluate_criterion(
-            rho, b1, b2,
-            pairing_rule=rule,
-            mode=args.mode,
-            criterion=args.criterion,
-            state_descriptor=f"file:{args.state}; observables=({b1.label},{b2.label})",
-        )
+        descriptor = f"file:{args.state}; observables=({b1.label},{b2.label})"
+        return None, None, rho, b1, b2, rule, descriptor
 
+    if evaluate and (args.state is not None or args.observables is not None):
+        raise _ConfigError("--state/--observables are for --family file")
+    family = resolve_family("isotropic", args.d)
+    if not evaluate:
+        return family, None, None, None, None, None, None
+    if args.p is None:
+        raise _ConfigError("--p is required")
+    if not 0.0 <= args.p <= 1.0:
+        raise _ConfigError(f"--p must lie in [0, 1], got {args.p}")
+    if args.pairing != "transpose" or args.pairing_file is not None:
+        raise _ConfigError("the isotropic families use the transpose pairing")
+    return (family, args.p, family_state(family, args.p), *family_observables(family),
+            default_pairing, None)
+
+
+def _cmd_evaluate(args) -> int:
+    family, p, rho, b1, b2, rule, descriptor = _resolve(args)
+    if family is not None:
+        report = family_evaluator(family, args.criterion, args.mode)(p)
+    else:
+        report = evaluate_criterion(rho, b1, b2, pairing_rule=rule, mode=args.mode,
+                                    criterion=args.criterion, state_descriptor=descriptor)
     _print_json(report.to_json_dict())
 
     if args.audit:
-        if family is not None:
-            rho = family_state(family, p)
-            b1, b2 = family_observables(family)
-            rule = default_pairing
         # closed-form reports carry closed-form moments; the engine runs once here
         if args.mode == MODE_CLOSED_FORM:
             engine = full_moments(rho, b1, b2, rule)
@@ -263,8 +273,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_out_dir(args.out)
-    family = resolve_family("isotropic", args.d)
+    family = _resolve(args)[0]
     if args.jobs < 1:
         raise _ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     result = sweep(
@@ -280,7 +289,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    family = resolve_family("isotropic", args.d)
+    family = _resolve(args)[0]
     if not math.isfinite(args.tol) or args.tol <= 0.0:
         raise _ConfigError(f"--tol must be positive and finite, got {args.tol}")
     result = find_threshold(

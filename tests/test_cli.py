@@ -186,13 +186,28 @@ def test_validate_state_malformed(tmp_path, capsys):
     rc, _, _ = run(capsys, "validate-state", "--state", str(missing))
     assert rc == 2
 
+    # bytes that are not UTF-8, and nesting deeper than the parser recurses,
+    # in a state file and in an observable file
+    state_path, obs_path = _write_family_files(tmp_path)
+    for content in (b"\xff\xfe", b"[" * 100000):
+        path.write_bytes(content)
+        for argv in (
+            ("validate-state", "--state", str(path)),
+            ("evaluate", "--family", "file",
+             "--state", str(path), "--observables", str(obs_path)),
+            ("evaluate", "--family", "file",
+             "--state", str(state_path), "--observables", str(path)),
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, ""), (content[:2], argv)
+            assert err.startswith(f"error: {path} is not valid JSON: "), argv
+
     nokey = tmp_path / "nokey.json"
     nokey.write_text(json.dumps({"dims": [2]}))
     rc, _, _ = run(capsys, "validate-state", "--state", str(nokey))
     assert rc == 2
 
     # observable files whose matrix is not a grid of numbers
-    state_path, obs_path = _write_family_files(tmp_path)
     good = json.loads(obs_path.read_text())
     for bad_matrix in ([[["a", 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]],
                        [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0]]]):
@@ -417,6 +432,7 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
     (tmp_path / "b.json.diff.csv").symlink_to(missing / "x")
     (tmp_path / "c.json.diff.csv").symlink_to(tmp_path / "c.json.diff.csv")
     audit = ("evaluate", "--d", "2", "--p", "0.7", "--audit", "--out")
+    long_json = "a" * 245 + ".json"
     for argv in (
         ("sweep", "--d", "3", "--out", str(missing / "x.csv")),
         (*audit, str(missing / "a.json")),
@@ -429,11 +445,15 @@ def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
         (*audit, str(loop)),
         (*audit, str(tmp_path / "b.json")),
         (*audit, str(tmp_path / "c.json")),
+        # names too long for the filesystem; only the companion
+        # <out>.diff.csv of the second one is
+        ("sweep", "--d", "3", "--out", str(tmp_path / ("s" * 300 + ".csv"))),
+        (*audit, str(tmp_path / long_json)),
     ):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, ""), argv
         assert "error: cannot write" in err, argv
-    for name in ("a.json", "b.json", "c.json"):
+    for name in ("a.json", "b.json", "c.json", long_json):
         assert not (tmp_path / name).exists()
 
 

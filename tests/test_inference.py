@@ -31,6 +31,7 @@ from steercrit import (
     joint_tables,
     max_entangled,
     moment_batch,
+    oracle_moments,
     qutrit_triplet,
     spin_half,
 )
@@ -227,6 +228,72 @@ def test_moment_batch_reports_first_failing_state():
     assert batch.row(0).as_dict() == full_moments(
         DensityMatrix(good, dims=(2, 2)), spin_half("x"), spin_half("z")
     ).as_dict()
+
+
+def _qubit_tables(settings_, p=0.5) -> dict:
+    """Raw tables of isotropic(2, p), one row, as writable copies."""
+    return {k: t.copy() for k, t in joint_tables(settings_, isotropic(2, p).matrix[None]).items()}
+
+
+def test_moment_batch_reports_a_row_check_before_a_later_table_check():
+    # Alice's Sz is paired with the zero operator, so every state fails
+    # <A^2>; state 1 fails a table check of b2 too. The earlier state wins
+    # whatever its check kind, and within a state the table check comes first
+    zero = Observable("zero", np.zeros((2, 2)))
+    rule = explicit_pairing({"Sz": zero, "Sx": spin_half("x").transpose()})
+    settings_ = MeasurementSettings.build(spin_half("z"), spin_half("x"), rule)
+    good = isotropic(2, 0.5).matrix
+    raw = joint_tables(settings_, np.stack([good, good]))
+    raw["b2"][1, 0, 0] = -1e-3
+    with pytest.raises(InferenceError, match="<A\\^2> = 0.000e\\+00"):
+        moment_batch(settings_, raw, 4)
+    later = {k: t[1:] for k, t in raw.items()}
+    with pytest.raises(InferenceError, match="negative joint probability -1.000e-03"):
+        moment_batch(settings_, later, 4)
+
+
+def test_moment_batch_checks_tables_in_order_within_a_row():
+    settings_ = MeasurementSettings.build(spin_half("x"), spin_half("z"))
+    raw = _qubit_tables(settings_)
+    raw["difference"] *= 1.5
+    with pytest.raises(InferenceError, match="sum to 1.5, not 1"):
+        moment_batch(settings_, raw, 4)
+    raw["b2"][0, 1, 1] = -2e-3
+    with pytest.raises(InferenceError, match="negative joint probability -2.000e-03"):
+        moment_batch(settings_, raw, 4)
+
+
+def test_smaller_table_reports_its_own_values():
+    # {Sx, Sz} = 0, so the anticommutator table is 1 x 1 beside 2 x 2 ones
+    settings_ = MeasurementSettings.build(spin_half("x"), spin_half("z"))
+    raw = _qubit_tables(settings_)
+    assert raw["anticommutator"].shape == (1, 1, 1)
+    raw["anticommutator"][0, 0, 0] = 0.75
+    with pytest.raises(InferenceError, match="sum to 0.75, not 1"):
+        moment_batch(settings_, raw, 4)
+    raw["anticommutator"][0, 0, 0] = -0.25
+    with pytest.raises(InferenceError, match="negative joint probability -2.500e-01"):
+        moment_batch(settings_, raw, 4)
+
+
+def test_tables_of_unequal_shape_match_the_oracle(rng):
+    sx, sz = spin_half("x"), spin_half("z")
+    for p in (0.0, 0.3, 0.8, 1.0):
+        rho = isotropic(2, p)
+        engine = full_moments(rho, sx, sz).as_dict()
+        for key, value in oracle_moments(rho, sx, sz).items():
+            assert engine[key] == pytest.approx(value, abs=1e-12), key
+    degenerate = Observable("deg", np.diag([1.0, 1.0, -1.0]))
+    for _ in range(10):
+        rho = random_bipartite(rng, 3, 3)
+        other = random_observable(rng, 3, "B2")
+        for b1, b2 in ((degenerate, other), (other, degenerate)):
+            settings_ = MeasurementSettings.build(b1, b2)
+            shapes = {t.shape[1:] for t in joint_tables(settings_, rho.matrix[None]).values()}
+            assert len(shapes) > 1
+            engine = full_moments(rho, b1, b2).as_dict()
+            for key, value in oracle_moments(rho, b1, b2).items():
+                assert engine[key] == pytest.approx(value, abs=1e-12), key
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))

@@ -15,7 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .inference import InferredMoments, MeasurementSettings, joint_tables, moment_batch
+from .inference import (
+    InferredMoments,
+    MeasurementSettings,
+    joint_tables,
+    mixed_moments,
+    pack_tables,
+)
 from .observables import Observable, qutrit_triplet, spin_half
 from .states import DensityMatrix, isotropic
 
@@ -68,20 +74,19 @@ def family_moments(family: str) -> Callable[[np.ndarray], InferredMoments]:
 
     rho(p) = (1 - p) rho(0) + p rho(1) and every table cell is linear in rho,
     so the tables at p are that mix of the tables of the two end states,
-    computed once here. No per-p state is built, but a p outside [0, 1]
-    raises the InvalidStateError that family_state raises for it.
+    packed once here into one stack. No per-p state is built, but a p
+    outside [0, 1] raises the InvalidStateError that family_state raises
+    for it.
     """
     settings = MeasurementSettings.build(*family_observables(family))
     ends = (family_state(family, 0.0), family_state(family, 1.0))
-    tables = joint_tables(settings, np.stack([rho.matrix for rho in ends]))
+    stack = pack_tables(settings, joint_tables(settings, np.stack([rho.matrix for rho in ends])))
 
     def moments_at(ps) -> InferredMoments:
         w = np.asarray(ps, dtype=float)
         outside = ~((0.0 <= w) & (w <= 1.0))
         if outside.any():
             family_state(family, w[outside][0])  # raises for this p
-        w = w[:, None, None]
-        mixed = {name: (1.0 - w) * t[0] + w * t[1] for name, t in tables.items()}
-        return moment_batch(settings, mixed, ends[0].dim)
+        return mixed_moments(settings, stack, w, ends[0].dim)
 
     return moments_at

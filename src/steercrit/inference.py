@@ -10,20 +10,32 @@ setting B0 = B1 - B2 by polarization) are always conditional-mean based.
 
 Every moment, the linear-g ones included, is a sum over the joint outcome
 tables P(a, b) = tr[rho (P_a tensor Q_b)]. The engine evaluates N states at
-once: each table carries a leading batch axis and each field of the one
-InferredMoments record becomes an (N,) array; a single state is a batch of
-1, and row(i) gives state i's record of floats. Every reduction in
-moment_batch acts row by row, so row i of its result depends only on row i
-of its tables, not on N. The contraction in joint_tables does not: einsum
-may round a batch of one state differently, by an ulp or so, from the same
-state inside a larger batch. A family sweep row still equals the family
-evaluator at the same p bit for bit, because both mix the same precomputed
-end-state tables elementwise.
+once. joint_tables gives each of the five tables (b1, b2, commutator,
+anticommutator, difference) with a leading batch axis, and pack_tables lays
+them out as one (5, A, B, N) stack: zero-padded to the most Alice outcomes A
+and Bob outcomes B of any table, with the batch axis last. A padded cell is
++0.0 and has outcome 0, so it adds +0.0 to every sum. The reduction walks the
+stack BATCH_CHUNK states at a time and treats all five tables in each numpy
+operation; each field of the one InferredMoments record becomes an (N,)
+array. A single state is a batch of 1, and row(i) gives state i's record of
+floats.
+
+Every operation of the reduction is row-independent, so row i of its result
+depends only on row i of the tables, not on N or on where a chunk ends: the
+elementwise ones, the minimum over a table, and the sums over outcomes,
+which add one outcome slice at a time in a fixed order (np.sum would not:
+it sums pairwise when the summed axis is the contiguous one). The
+contraction in joint_tables is not: einsum may round a batch of one state
+differently, by an ulp or so, from the same state inside a larger batch. A
+family sweep row still equals the family evaluator at the same p bit for
+bit, because both mix the same packed end-state stack elementwise
+(mixed_moments).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +63,10 @@ MODE_CONDITIONAL_MEAN = "conditional-mean"
 # the published closed forms of closed_forms, not an engine estimator
 MODE_CLOSED_FORM = "paper-closed-form"
 
+# states reduced together; bounds the reduction's temporaries, about 27 MB
+# for qutrit tables, whatever the batch size
+BATCH_CHUNK = 2**14
+
 
 class InferenceError(ValueError):
     """Ill-posed statistical quantity (bad table, vanishing <A^2>, ...)."""
@@ -75,54 +91,44 @@ def _check_state_matches(rho: DensityMatrix, pairing: ObservablePairing) -> None
         )
 
 
-# Checks are (bad-row mask, row -> message) pairs listed in the order a single
-# evaluation meets them; _raise_first reports the first failing row.
+def _raise_first(bad: np.ndarray, message) -> None:
+    """bad is a (checks, N) matrix in the order one evaluation meets them.
+
+    Reports the first failing row, then its first failing check, as
+    message(check, row).
+    """
+    if bad.any():
+        row = int(bad.any(axis=0).argmax())
+        raise InferenceError(message(int(bad[:, row].argmax()), row))
 
 
-def _raise_first(checks: list) -> None:
-    failing = [int(np.argmax(bad)) for bad, _ in checks if bad.any()]
-    if failing:
-        row = min(failing)
-        message = next(message for bad, message in checks if bad[row])
-        raise InferenceError(message(row))
-
-
-def _table_checks(raw: np.ndarray, dim: int) -> list:
-    low = raw.min(axis=(1, 2))
-    total = raw.sum(axis=(1, 2))
-    return [
-        (low < -PSD_TOL * dim, lambda i: f"negative joint probability {low[i]:.3e}"),
-        (
-            np.abs(total - 1.0) >= NORMALIZATION_TOL,
-            lambda i: f"joint probabilities sum to {total[i]:.12g}, not 1",
-        ),
-    ]
-
-
-def _order_checks(fields: dict) -> list:
-    """var_inf >= var_min - VARIANCE_ORDER_TOL * max(1, <B^2>), float or (N,).
+def _order_bad(var_inf, var_min, sq_mean) -> np.ndarray:
+    """var_inf < var_min - VARIANCE_ORDER_TOL * max(1, <B^2>), elementwise.
 
     <B^2> = var_min + sq_mean_inf by the law of total variance; the absolute
     values keep a roundoff-negative term from shrinking the tolerance.
     """
-    checks = []
-    for key in ("b1", "b2"):
-        inf = np.atleast_1d(fields[f"var_inf_{key}"])
-        low = np.atleast_1d(fields[f"var_min_{key}"])
-        power = np.abs(low) + np.abs(np.atleast_1d(fields[f"sq_mean_inf_{key}"]))
-        checks.append((
-            inf < low - VARIANCE_ORDER_TOL * np.maximum(1.0, power),
-            lambda i, key=key, inf=inf, low=low: (
-                f"var_inf_{key} {float(inf[i])!r} below var_min_{key} {float(low[i])!r}"
-            ),
-        ))
-    return checks
+    power = np.abs(var_min) + np.abs(sq_mean)
+    return var_inf < var_min - VARIANCE_ORDER_TOL * np.maximum(1.0, power)
+
+
+def _order_message(key: str, var_inf, var_min) -> str:
+    return f"var_inf_{key} {float(var_inf)!r} below var_min_{key} {float(var_min)!r}"
+
+
+def _table_bad(low, total, dim: int) -> np.ndarray:
+    """The negative-cell and the normalisation mask, stacked on a new first axis."""
+    return np.array([low < -PSD_TOL * dim, np.abs(total - 1.0) >= NORMALIZATION_TOL])
+
+
+def _table_message(kind: int, low, total) -> str:
+    if kind == 0:
+        return f"negative joint probability {low:.3e}"
+    return f"joint probabilities sum to {total:.12g}, not 1"
 
 
 def _clamp(raw: np.ndarray) -> np.ndarray:
-    probs = np.where(raw < PROB_CLAMP, 0.0, raw)
-    probs.setflags(write=False)
-    return probs
+    return np.where(raw < PROB_CLAMP, 0.0, raw)
 
 
 def _contract(matrices: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -130,56 +136,38 @@ def _contract(matrices: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.einsum("nij,abji->nab", matrices, stack).real
 
 
-def _conditional_sums(probs: np.ndarray, bob_outcomes) -> tuple:
-    """Per Alice outcome: P(a), sum_b P(a,b) b, sum_b P(a,b) b^2; each (N, na)."""
-    b = np.asarray(bob_outcomes)
-    return (
-        probs.sum(axis=2),
-        np.einsum("nab,b->na", probs, b),
-        np.einsum("nab,b->na", probs, b * b),
-    )
+def _sum_outcomes(x: np.ndarray, weights=None) -> np.ndarray:
+    """Sum over the axis before the batch axis, one slice at a time.
 
-
-def _over_p_a(values: np.ndarray, p_a: np.ndarray) -> np.ndarray:
-    """values / P(a), 0 where P(a) = 0 (there the clamped row is all zero)."""
-    return np.divide(values, p_a, out=np.zeros_like(values), where=p_a > 0.0)
-
-
-def _var_min(p_a, m1, m2) -> np.ndarray:
-    """sum_a P(a) Var(B | a); zero-probability Alice outcomes contribute nothing."""
-    return np.maximum(0.0, (m2 - _over_p_a(m1 * m1, p_a)).sum(axis=1))
-
-
-def _sq_mean(p_a, m1) -> np.ndarray:
-    """sum_a P(a) <B>_a^2."""
-    return _over_p_a(m1 * m1, p_a).sum(axis=1)
-
-
-def _linear(p_a, m1, m2, alice_outcomes) -> tuple:
-    """<A^2>, g = <A tensor B> / <A^2> and <(B - g A)^2>, from table sums."""
-    a = np.asarray(alice_outcomes)
-    mean_a2 = np.einsum("na,a->n", p_a, a * a)
-    mean_ab = np.einsum("na,a->n", m1, a)
-    mean_b2 = m2.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = mean_ab / mean_a2
-        var = np.maximum(0.0, mean_b2 - 2.0 * g * mean_ab + g * g * mean_a2)
-    return mean_a2, g, var
-
-
-def _alice_power_check(mean_a2: np.ndarray) -> tuple:
-    return (
-        mean_a2 <= ALICE_POWER_FLOOR,
-        lambda i: f"<A^2> = {mean_a2[i]:.3e} is too small to define the estimator slope",
-    )
+    Slice j is multiplied by weights[j] first when weights are given. Every
+    batch row gets the same additions in the same order whatever the batch
+    size; np.sum may switch to pairwise summation when the summed axis
+    becomes the contiguous one.
+    """
+    if weights is None:
+        total = x[..., 0, :].copy()
+        for j in range(1, x.shape[-2]):
+            total += x[..., j, :]
+        return total
+    total = x[..., 0, :] * weights[0]
+    part = np.empty_like(total)
+    for j in range(1, x.shape[-2]):
+        total += np.multiply(x[..., j, :], weights[j], out=part)
+    return total
 
 
 def joint_distribution(rho: DensityMatrix, pairing: ObservablePairing) -> JointDistribution:
     """P(a, b) = tr[rho (P_a tensor Q_b)] over merged eigenprojectors."""
     _check_state_matches(rho, pairing)
-    raw = _contract(rho.matrix[None], pairing.projector_products)
-    _raise_first(_table_checks(raw, rho.dim))
-    return JointDistribution(pairing.alice.outcomes, pairing.bob.outcomes, _clamp(raw)[0])
+    raw = _contract(rho.matrix[None], pairing.projector_products)[0]
+    low, total = raw.min(), raw.sum()
+    _raise_first(
+        _table_bad(low, total, rho.dim)[:, None],
+        lambda kind, _: _table_message(kind, low, total),
+    )
+    probs = _clamp(raw)
+    probs.setflags(write=False)
+    return JointDistribution(pairing.alice.outcomes, pairing.bob.outcomes, probs)
 
 
 def expectation(rho: DensityMatrix, matrix: np.ndarray) -> float:
@@ -221,6 +209,33 @@ class MeasurementSettings:
         decompose(obs for pair in pairs.values() for obs in (pair.bob, pair.alice))
         return cls(pairs)
 
+    @cached_property
+    def shape(self) -> tuple[int, int, int]:
+        """(tables, A, B): the packed stack's shape without its batch axis."""
+        alice, bob = zip(*(
+            (len(pair.alice.outcomes), len(pair.bob.outcomes)) for pair in self.pairs.values()
+        ))
+        return len(self.pairs), max(alice), max(bob)
+
+    @cached_property
+    def outcome_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-outcome weights of the sums over a and b, one entry per outcome.
+
+        Alice's [a^2, a, 1] is (A, 3, T, 1) and Bob's [1, b, b^2] is
+        (B, 3, T, 1, 1). Both are zero-padded like the packed stack, so a
+        padded row or column has outcome 0 and adds +0.0 to every sum.
+        """
+        tables, na, nb = self.shape
+        a = np.zeros((na, 1, tables, 1))
+        b = np.zeros((nb, 1, tables, 1, 1))
+        for t, pair in enumerate(self.pairs.values()):
+            a[:len(pair.alice.outcomes), 0, t] = np.array(pair.alice.outcomes)[:, None]
+            b[:len(pair.bob.outcomes), 0, t] = np.array(pair.bob.outcomes)[:, None, None]
+        return (
+            np.concatenate((a * a, a, np.ones_like(a)), axis=1),
+            np.concatenate((np.ones_like(b), b, b * b), axis=1),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class InferredMoments:
@@ -244,7 +259,14 @@ class InferredMoments:
     g2: float
 
     def __post_init__(self) -> None:
-        _raise_first(_order_checks(vars(self)))
+        inf, low, sq = (
+            np.array([getattr(self, f"{name}_b1"), getattr(self, f"{name}_b2")]).reshape(2, -1)
+            for name in ("var_inf", "var_min", "sq_mean_inf")
+        )
+        _raise_first(
+            _order_bad(inf, low, sq),
+            lambda k, i: _order_message(f"b{k + 1}", inf[k, i], low[k, i]),
+        )
 
     def as_dict(self) -> dict:
         """Field name -> float, in field order."""
@@ -269,6 +291,79 @@ def joint_tables(settings: MeasurementSettings, matrices: np.ndarray) -> dict:
     }
 
 
+def pack_tables(settings: MeasurementSettings, raw_tables: dict) -> np.ndarray:
+    """One (T, A, B, N) stack of the (N, na, nb) tables, in settings order.
+
+    The tables are zero-padded to the largest na and nb, and the batch axis
+    is last, so a slice of states is a slice of the last axis.
+    """
+    n = len(raw_tables["b1"])
+    stack = np.zeros(settings.shape + (n,))
+    for t, name in enumerate(settings.pairs):
+        _, na, nb = raw_tables[name].shape
+        stack[t, :na, :nb] = np.moveaxis(raw_tables[name], 0, -1)
+    return stack
+
+
+def _reduce(settings: MeasurementSettings, raw: np.ndarray, dim: int, out: np.ndarray) -> None:
+    """Check one (T, A, B, n) chunk of raw tables and write its moments to out.
+
+    out is (12, n), one row per InferredMoments field in field order. The
+    14 checks form one (14, n) matrix: per table its negative cell and its
+    normalisation, then <A^2> and the variance order of b1 and b2.
+    """
+    alice, bob = settings.outcome_weights
+    # per table and Alice outcome: P(a), sum_b P(a, b) b and sum_b P(a, b) b^2
+    sums = _sum_outcomes(_clamp(raw), bob)
+    p_a, m1, m2 = sums
+    # sum_a P(a) a^2 = <A^2>, sum_a a sum_b P(a, b) b = <A B>, and <B^2>
+    mean_a2, mean_ab, mean_b2 = _sum_outcomes(sums, alice)
+    # P(a) <B>_a^2 per Alice outcome; an outcome with P(a) = 0 adds nothing
+    over = np.divide(m1 * m1, p_a, out=np.zeros_like(p_a), where=p_a > 0.0)
+    sq, var_min, abs_m1, sum_m1 = _sum_outcomes(np.array([over, m2 - over, np.abs(m1), m1]))
+    # Reid's linear estimator g A, from b1 and b2 only
+    mean_a2, mean_ab, mean_b2 = mean_a2[:2], mean_ab[:2], mean_b2[:2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = mean_ab / mean_a2
+        var_inf = np.maximum(0.0, mean_b2 - 2.0 * g * mean_ab + g * g * mean_a2)
+    var_min = np.maximum(0.0, var_min[:2])
+    low = raw.min(axis=(1, 2))
+    total = _sum_outcomes(_sum_outcomes(raw))
+    bad = np.concatenate((
+        _table_bad(low, total, dim).swapaxes(0, 1).reshape(-1, raw.shape[-1]),
+        mean_a2 <= ALICE_POWER_FLOOR,
+        _order_bad(var_inf, var_min, sq[:2]),
+    ))
+
+    def message(check: int, i: int) -> str:
+        t, kind = divmod(check, 2)
+        if t < len(low):
+            return _table_message(kind, low[t, i], total[t, i])
+        if t == len(low):
+            return f"<A^2> = {mean_a2[kind, i]:.3e} is too small to define the estimator slope"
+        return _order_message(f"b{kind + 1}", var_inf[kind, i], var_min[kind, i])
+
+    _raise_first(bad, message)
+    sq = sq[[0, 1, 4]]
+    np.concatenate(
+        (var_inf, var_min, abs_m1[2:3], sum_m1[3:4], sq, 0.5 * (sq[:1] + sq[1:2] - sq[2:]), g),
+        out=out,
+    )
+
+
+def _moments(settings: MeasurementSettings, n: int, dim: int, chunk) -> InferredMoments:
+    """Reduce N states BATCH_CHUNK at a time; chunk(lo, hi) is their raw stack.
+
+    A failing chunk raises before any later chunk is formed, so the first
+    failing state is reported, with its first failing check.
+    """
+    fields = np.empty((12, n))
+    for lo in range(0, n, BATCH_CHUNK):
+        hi = min(lo + BATCH_CHUNK, n)
+        _reduce(settings, chunk(lo, hi), dim, fields[:, lo:hi])
+    return InferredMoments(*fields)
+
+
 def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> InferredMoments:
     """Check and clamp N states' raw tables, then reduce them to every moment.
 
@@ -276,35 +371,27 @@ def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> I
     an (N,) array. An InferenceError names the first state that fails a
     check, and that state's first failed check.
     """
-    checks = []
-    sums = {}
-    for name, pairing in settings.pairs.items():
-        checks += _table_checks(raw_tables[name], dim)
-        sums[name] = _conditional_sums(_clamp(raw_tables[name]), pairing.bob.outcomes)
-    a2_1, g1, var_inf_1 = _linear(*sums["b1"], settings.pairs["b1"].alice.outcomes)
-    a2_2, g2, var_inf_2 = _linear(*sums["b2"], settings.pairs["b2"].alice.outcomes)
-    checks += [_alice_power_check(a2_1), _alice_power_check(a2_2)]
-    sq1 = _sq_mean(*sums["b1"][:2])
-    sq2 = _sq_mean(*sums["b2"][:2])
-    sq0 = _sq_mean(*sums["difference"][:2])
-    fields = dict(
-        var_inf_b1=var_inf_1,
-        var_inf_b2=var_inf_2,
-        var_min_b1=_var_min(*sums["b1"]),
-        var_min_b2=_var_min(*sums["b2"]),
-        abs_mean_inf_commutator=np.abs(sums["commutator"][1]).sum(axis=1),
-        mean_inf_anticommutator=sums["anticommutator"][1].sum(axis=1),
-        sq_mean_inf_b1=sq1,
-        sq_mean_inf_b2=sq2,
-        sq_mean_inf_b0=sq0,
-        product_of_means_inf=0.5 * (sq1 + sq2 - sq0),
-        g1=g1,
-        g2=g2,
-    )
-    # every check at once, so the first failing state is reported whichever
-    # check it fails
-    _raise_first(checks + _order_checks(fields))
-    return InferredMoments(**fields)
+    stack = pack_tables(settings, raw_tables)
+    return _moments(settings, stack.shape[-1], dim, lambda lo, hi: stack[..., lo:hi])
+
+
+def mixed_moments(
+    settings: MeasurementSettings, ends: np.ndarray, weights: np.ndarray, dim: int
+) -> InferredMoments:
+    """moment_batch of the tables (1 - w) ends[..., 0] + w ends[..., 1], per weight w.
+
+    ends is a packed (T, A, B, 2) stack; the mixed tables are formed one
+    chunk at a time, so the batch never holds all of them at once.
+    """
+    first, last = ends[..., :1], ends[..., 1:]
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        w = weights[lo:hi]
+        mixed = (1.0 - w) * first
+        mixed += w * last
+        return mixed
+
+    return _moments(settings, len(weights), dim, chunk)
 
 
 def full_moments(

@@ -45,7 +45,9 @@ from .inference import MODE_CLOSED_FORM, MODE_LINEAR_G
 
 
 DEFAULT_TOL = 1e-9
-# a sweep holds every grid point's tables at once
+# a sweep holds its p, lhs, rhs and margin columns, every point's moments
+# and its CSV text at once; the tables are reduced inference.BATCH_CHUNK
+# points at a time
 MAX_SWEEP_STEPS = 1_000_000
 _BISECT_MAX_ITER = 60
 _PRE_SWEEP_POINTS = 32
@@ -280,9 +282,7 @@ def find_threshold(
 
 def sweep_csv_text(result: SweepResult) -> str:
     """Deterministic CSV serialization, 12 significant digits."""
-    columns = (result.p, result.lhs, result.rhs, result.margin, result.violated)
-    lines = ["p,lhs,rhs,margin,violated"]
-    for p, lhs, rhs, m, violated in zip(*(c.tolist() for c in columns)):
-        flag = "true" if violated else "false"
-        lines.append(f"{p:.12g},{lhs:.12g},{rhs:.12g},{m:.12g},{flag}")
-    return "\n".join(lines) + "\n"
+    columns = (result.p, result.lhs, result.rhs, result.margin)
+    flags = map(("false", "true").__getitem__, result.violated.tolist())
+    rows = map("%.12g,%.12g,%.12g,%.12g,%s".__mod__, zip(*(c.tolist() for c in columns), flags))
+    return "\n".join(["p,lhs,rhs,margin,violated", *rows]) + "\n"

@@ -23,6 +23,7 @@ from steercrit import (
     sweep,
     sweep_csv_text,
 )
+from steercrit.inference import BATCH_CHUNK
 from steercrit.thresholds import (
     _TREE_DEPTH,
     MAX_SWEEP_STEPS,
@@ -83,6 +84,20 @@ def test_sweep_rows_match_evaluator():
             assert rhs == report.rhs
             assert margin == report.margin
             assert violated == report.violated
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("mode", ["linear-g", "conditional-mean"])
+def test_sweep_rows_across_a_chunk_boundary_match_evaluator(d, mode):
+    # the moments are reduced BATCH_CHUNK states at a time; rows on both
+    # sides of the boundary, and the short last chunk, match a batch of one
+    steps = BATCH_CHUNK + 3
+    r = sweep("isotropic", d, mode=mode, steps=steps)
+    evaluator = family_evaluator(resolve_family("isotropic", d), "srur", mode)
+    for i in (0, 1, BATCH_CHUNK - 2, BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1, steps - 1):
+        report = evaluator(float(r.p[i]))
+        assert (float(r.lhs[i]), float(r.rhs[i])) == (report.lhs, report.rhs), i
+        assert float(r.margin[i]) == report.margin, i
 
 
 @pytest.mark.parametrize("p", [1.0 + 1e-9, -1e-12])
@@ -255,13 +270,13 @@ def test_batched_search_matches_scalar_bisection(d, mode, criterion, tol):
 @pytest.mark.parametrize("d,mode,criterion", ENGINE_CONFIGS)
 def test_engine_search_batches_its_bisection(d, mode, criterion, monkeypatch):
     calls = []
-    real = steercrit.families.moment_batch
+    real = steercrit.families.mixed_moments
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(steercrit.families, "moment_batch", counted)
+    monkeypatch.setattr(steercrit.families, "mixed_moments", counted)
     result = find_threshold("isotropic", d, criterion=criterion, mode=mode)
     assert result.evaluations == 58
     # one pre-sweep call, then one call per _TREE_DEPTH bisection steps

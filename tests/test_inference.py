@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steercrit import (
+    FAMILIES,
     DensityMatrix,
     InferenceError,
     InferredMoments,
@@ -25,6 +26,8 @@ from steercrit import (
     ObservablePairing,
     default_pairing,
     explicit_pairing,
+    family_observables,
+    family_state,
     full_moments,
     isotropic,
     joint_distribution,
@@ -35,6 +38,7 @@ from steercrit import (
     qutrit_triplet,
     spin_half,
 )
+from steercrit.inference import _contract
 
 from conftest import random_bipartite, random_observable, rotated
 
@@ -312,6 +316,52 @@ def test_moment_batch_rows_do_not_depend_on_the_batch(d):
         for i in range(4):
             alone = moment_batch(settings_, {k: t[i:i + 1] for k, t in raw.items()}, d * d)
             assert batch.row(i).as_dict() == alone.row(0).as_dict()
+
+
+def _degenerate_cases(rng):
+    """(settings, (N, D, D) states) with a degenerate Bob observable, d = 2..4."""
+    for d in (2, 3, 4):
+        degenerate = Observable("deg", np.diag([1.0] * (d - 1) + [-1.0]))
+        other = random_observable(rng, d, "B2")
+        states = np.stack([random_bipartite(rng, d, d).matrix for _ in range(3)])
+        for b1, b2 in ((degenerate, other), (other, degenerate)):
+            yield MeasurementSettings.build(b1, b2), states
+
+
+def test_joint_tables_match_each_pairings_own_contraction(rng):
+    cases = [
+        (
+            MeasurementSettings.build(*family_observables(family)),
+            np.stack([family_state(family, p).matrix for p in (0.0, 1.0)]),
+        )
+        for family in FAMILIES
+    ]
+    cases += list(_degenerate_cases(rng))
+    for settings_, states in cases:
+        for matrices in (states, states[:1]):
+            tables = joint_tables(settings_, matrices)
+            assert list(tables) == list(settings_.pairs)
+            for name, pairing in settings_.pairs.items():
+                alone = _contract(matrices, pairing.projector_products)
+                assert tables[name].shape == alone.shape
+                assert tables[name].tobytes() == alone.tobytes(), name
+
+
+def test_moment_batch_leaves_the_callers_tables_unchanged(rng):
+    qubit = MeasurementSettings.build(spin_half("x"), spin_half("z"))
+    raw = _qubit_tables(qubit, p=1.0)
+    # cells the reduction clamps to 0: a tiny negative one and a tiny positive one
+    raw["b1"][0, 0, 1] = -1e-13
+    raw["b2"][0, 1, 0] = 5e-13
+    cases = [(qubit, raw, 4)] + [
+        (settings_, joint_tables(settings_, states), states.shape[-1])
+        for settings_, states in _degenerate_cases(rng)
+    ]
+    for settings_, tables, dim in cases:
+        before = {k: t.copy() for k, t in tables.items()}
+        moment_batch(settings_, tables, dim)
+        for k, t in tables.items():
+            assert t.tobytes() == before[k].tobytes(), k
 
 
 def test_moment_record_rejects_inverted_variances():

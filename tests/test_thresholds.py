@@ -283,6 +283,30 @@ def test_engine_search_batches_its_bisection(d, mode, criterion, monkeypatch):
     assert len(calls) <= 1 + math.ceil(26 / _TREE_DEPTH)
 
 
+@pytest.mark.parametrize("family", (FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2))
+def test_family_moments_repeat_calls_return_the_same_bits(family, monkeypatch):
+    # the reduction may work in place, but never on the caller's p array or
+    # on the end-state stack that every call mixes
+    stacks = []
+    real = steercrit.families.mixed_moments
+
+    def recorded(settings_, ends, weights, dim):
+        stacks.append((ends, ends.copy()))
+        return real(settings_, ends, weights, dim)
+
+    monkeypatch.setattr(steercrit.families, "mixed_moments", recorded)
+    moments_at = steercrit.families.family_moments(family)
+    ps = np.linspace(0.0, 1.0, 11)
+    given = ps.copy()
+    first = {k: v.copy() for k, v in vars(moments_at(ps)).items()}
+    second = vars(moments_at(ps))
+    assert ps.tobytes() == given.tobytes()
+    for k, v in second.items():
+        assert v.tobytes() == first[k].tobytes(), k
+    for ends, copy in stacks:
+        assert ends.tobytes() == copy.tobytes()
+
+
 @pytest.mark.parametrize("d,mode,criterion", ALL_CONFIGS)
 def test_threshold_matches_quartic_fit_root(d, mode, criterion):
     # on the isotropic families every margin is a quartic in p

@@ -15,13 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .inference import (
-    InferredMoments,
-    MeasurementSettings,
-    joint_tables,
-    mixed_moments,
-    pack_tables,
-)
+from .inference import InferredMoments, MeasurementSettings, mixed_moments
 from .observables import Observable, qutrit_triplet, spin_half
 from .states import DensityMatrix, isotropic
 
@@ -74,13 +68,13 @@ def family_moments(family: str) -> Callable[[np.ndarray], InferredMoments]:
 
     rho(p) = (1 - p) rho(0) + p rho(1) and every table cell is linear in rho,
     so the tables at p are that mix of the tables of the two end states,
-    packed once here into one stack. No per-p state is built, but a p
+    contracted once here into one packed stack. No per-p state is built, but a p
     outside [0, 1] raises the InvalidStateError that family_state raises
     for it.
     """
     settings = MeasurementSettings.build(*family_observables(family))
     ends = (family_state(family, 0.0), family_state(family, 1.0))
-    stack = pack_tables(settings, joint_tables(settings, np.stack([rho.matrix for rho in ends])))
+    stack = settings.packed_tables(np.stack([rho.matrix for rho in ends]))
 
     def moments_at(ps) -> InferredMoments:
         w = np.asarray(ps, dtype=float)

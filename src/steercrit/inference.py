@@ -9,26 +9,31 @@ mean, squared means and the product of means obtained from the difference
 setting B0 = B1 - B2 by polarization) are always conditional-mean based.
 
 Every moment, the linear-g ones included, is a sum over the joint outcome
-tables P(a, b) = tr[rho (P_a tensor Q_b)]. The engine evaluates N states at
-once. joint_tables gives each of the five tables (b1, b2, commutator,
-anticommutator, difference) with a leading batch axis, and pack_tables lays
-them out as one (5, A, B, N) stack: zero-padded to the most Alice outcomes A
-and Bob outcomes B of any table, with the batch axis last. A padded cell is
-+0.0 and has outcome 0, so it adds +0.0 to every sum. The reduction walks the
-stack BATCH_CHUNK states at a time and treats all five tables in each numpy
-operation; each field of the one InferredMoments record becomes an (N,)
-array. A single state is a batch of 1, and row(i) gives state i's record of
-floats.
+tables P(a, b) = tr[rho (P_a tensor Q_b)]. MeasurementSettings zero-pads the
+projector stacks of its five pairings (b1, b2, commutator, anticommutator,
+difference) into one (T, A, B, D, D) stack, T = 5 tables, A and B the most
+Alice and Bob outcomes of any table. One einsum of N states against it gives
+the packed (T, A, B, N) raw tables, batch axis last, that full_moments and
+family_moments reduce; joint_tables gives per-table views of the same
+contraction. A padded cell holds the zero matrix, so its table cell is +0.0
+and has outcome 0, and it adds +0.0 to every sum. The reduction walks the
+packed tables BATCH_CHUNK states at a time. It clamps each chunk in place
+once the checks have read it: every chunk is the reduction's own array (a
+packed contraction, a moment_batch copy or a freshly mixed chunk), never
+the caller's tables. It then forms each sum over outcomes on its own, over
+the tables that need it. Each field of the one InferredMoments record
+becomes an (N,) array. A single state is a batch of 1, and row(i) gives
+state i's record of floats.
 
 Every operation of the reduction is row-independent, so row i of its result
 depends only on row i of the tables, not on N or on where a chunk ends: the
-elementwise ones, the minimum over a table, and the sums over outcomes,
-which add one outcome slice at a time in a fixed order (np.sum would not:
-it sums pairwise when the summed axis is the contiguous one). The
-contraction in joint_tables is not: einsum may round a batch of one state
+elementwise ones (the clamp among them), the minimum over a table, and the
+sums over outcomes, which add one outcome slice at a time in a fixed order
+(np.sum would not: it sums pairwise when the summed axis is the contiguous
+one). The contraction is not: einsum may round a batch of one state
 differently, by an ulp or so, from the same state inside a larger batch. A
 family sweep row still equals the family evaluator at the same p bit for
-bit, because both mix the same packed end-state stack elementwise
+bit, because both mix the same packed end-state tables elementwise
 (mixed_moments).
 """
 
@@ -63,8 +68,9 @@ MODE_CONDITIONAL_MEAN = "conditional-mean"
 # the published closed forms of closed_forms, not an engine estimator
 MODE_CLOSED_FORM = "paper-closed-form"
 
-# states reduced together; bounds the reduction's temporaries, about 27 MB
-# for qutrit tables, whatever the batch size
+# states reduced together; bounds the reduction's temporaries, whatever the
+# batch size: a tracemalloc peak of 18.7 MB beside the (12, N) result for
+# qutrit tables, 12.6 MB for qubit ones
 BATCH_CHUNK = 2**14
 
 
@@ -127,10 +133,6 @@ def _table_message(kind: int, low, total) -> str:
     return f"joint probabilities sum to {total:.12g}, not 1"
 
 
-def _clamp(raw: np.ndarray) -> np.ndarray:
-    return np.where(raw < PROB_CLAMP, 0.0, raw)
-
-
 def _contract(matrices: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """tr[rho_n (P_a tensor Q_b)]: (N, D, D) states -> (N, na, nb) raw tables."""
     return np.einsum("nij,abji->nab", matrices, stack).real
@@ -165,7 +167,7 @@ def joint_distribution(rho: DensityMatrix, pairing: ObservablePairing) -> JointD
         _table_bad(low, total, rho.dim)[:, None],
         lambda kind, _: _table_message(kind, low, total),
     )
-    probs = _clamp(raw)
+    probs = np.where(raw < PROB_CLAMP, 0.0, raw)
     probs.setflags(write=False)
     return JointDistribution(pairing.alice.outcomes, pairing.bob.outcomes, probs)
 
@@ -211,30 +213,43 @@ class MeasurementSettings:
 
     @cached_property
     def shape(self) -> tuple[int, int, int]:
-        """(tables, A, B): the packed stack's shape without its batch axis."""
+        """(tables, A, B): the packed tables' shape without their batch axis."""
         alice, bob = zip(*(
             (len(pair.alice.outcomes), len(pair.bob.outcomes)) for pair in self.pairs.values()
         ))
         return len(self.pairs), max(alice), max(bob)
 
     @cached_property
-    def outcome_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-outcome weights of the sums over a and b, one entry per outcome.
+    def products(self) -> np.ndarray:
+        """Every pairing's projector_products, zero-padded into one (T, A, B, D, D) stack.
 
-        Alice's [a^2, a, 1] is (A, 3, T, 1) and Bob's [1, b, b^2] is
-        (B, 3, T, 1, 1). Both are zero-padded like the packed stack, so a
-        padded row or column has outcome 0 and adds +0.0 to every sum.
+        A padded outcome pair holds the zero matrix, so its table cell is +0.0.
+        """
+        stacks = [pair.projector_products for pair in self.pairs.values()]
+        products = np.zeros(self.shape + stacks[0].shape[2:], dtype=complex)
+        for t, stack in enumerate(stacks):
+            products[t, :len(stack), :stack.shape[1]] = stack
+        products.setflags(write=False)
+        return products
+
+    def packed_tables(self, matrices: np.ndarray) -> np.ndarray:
+        """(N, D, D) states -> (T, A, B, N) raw tables, from one contraction."""
+        return np.einsum("nij,tabji->tabn", matrices, self.products).real
+
+    @cached_property
+    def outcome_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's outcomes as an (A, T, 1) and Bob's as a (B, T, 1, 1) array.
+
+        Entry [k, t] is outcome k of table t. Both are zero-padded like the
+        packed tables, so a padded row or column has outcome 0.
         """
         tables, na, nb = self.shape
-        a = np.zeros((na, 1, tables, 1))
-        b = np.zeros((nb, 1, tables, 1, 1))
+        a = np.zeros((na, tables, 1))
+        b = np.zeros((nb, tables, 1, 1))
         for t, pair in enumerate(self.pairs.values()):
-            a[:len(pair.alice.outcomes), 0, t] = np.array(pair.alice.outcomes)[:, None]
-            b[:len(pair.bob.outcomes), 0, t] = np.array(pair.bob.outcomes)[:, None, None]
-        return (
-            np.concatenate((a * a, a, np.ones_like(a)), axis=1),
-            np.concatenate((np.ones_like(b), b, b * b), axis=1),
-        )
+            a[:len(pair.alice.outcomes), t, 0] = pair.alice.outcomes
+            b[:len(pair.bob.outcomes), t, 0, 0] = pair.bob.outcomes
+        return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,67 +283,67 @@ class InferredMoments:
             lambda k, i: _order_message(f"b{k + 1}", inf[k, i], low[k, i]),
         )
 
+    @classmethod
+    def _checked(cls, values) -> InferredMoments:
+        """The record of values, in field order, whose variance order the
+        caller has already checked."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls.__dataclass_fields__, values))
+        return record
+
     def as_dict(self) -> dict:
         """Field name -> float, in field order."""
         return {name: float(value) for name, value in vars(self).items()}
 
     def row(self, i: int) -> InferredMoments:
         """The float record of state i of an (N,)-array record."""
-        return InferredMoments(
-            **{name: float(value[i]) for name, value in vars(self).items()}
-        )
+        return self._checked(float(value[i]) for value in vars(self).values())
 
 
 def joint_tables(settings: MeasurementSettings, matrices: np.ndarray) -> dict:
     """Unchecked tables of N states given as an (N, D, D) array.
 
-    Returns table name -> (N, na, nb) raw tr[rho (P_a tensor Q_b)] values;
-    moment_batch checks and clamps them.
+    Returns table name -> (N, na, nb) raw tr[rho (P_a tensor Q_b)] values,
+    each a view of one packed contraction; moment_batch checks and clamps
+    them.
     """
+    packed = settings.packed_tables(matrices)
     return {
-        name: _contract(matrices, pairing.projector_products)
-        for name, pairing in settings.pairs.items()
+        name: np.moveaxis(
+            packed[t, :len(pair.alice.outcomes), :len(pair.bob.outcomes)], -1, 0
+        )
+        for t, (name, pair) in enumerate(settings.pairs.items())
     }
-
-
-def pack_tables(settings: MeasurementSettings, raw_tables: dict) -> np.ndarray:
-    """One (T, A, B, N) stack of the (N, na, nb) tables, in settings order.
-
-    The tables are zero-padded to the largest na and nb, and the batch axis
-    is last, so a slice of states is a slice of the last axis.
-    """
-    n = len(raw_tables["b1"])
-    stack = np.zeros(settings.shape + (n,))
-    for t, name in enumerate(settings.pairs):
-        _, na, nb = raw_tables[name].shape
-        stack[t, :na, :nb] = np.moveaxis(raw_tables[name], 0, -1)
-    return stack
 
 
 def _reduce(settings: MeasurementSettings, raw: np.ndarray, dim: int, out: np.ndarray) -> None:
     """Check one (T, A, B, n) chunk of raw tables and write its moments to out.
 
-    out is (12, n), one row per InferredMoments field in field order. The
-    14 checks form one (14, n) matrix: per table its negative cell and its
-    normalisation, then <A^2> and the variance order of b1 and b2.
+    raw is the caller's own chunk: it is clamped in place. out is (12, n),
+    one row per InferredMoments field in field order. The 14 checks form
+    one (14, n) matrix: per table its negative cell and its normalisation,
+    then <A^2> and the variance order of b1 and b2.
     """
     alice, bob = settings.outcome_weights
+    low = raw.min(axis=(1, 2))
+    total = _sum_outcomes(_sum_outcomes(raw))
+    np.copyto(raw, 0.0, where=raw < PROB_CLAMP)
     # per table and Alice outcome: P(a), sum_b P(a, b) b and sum_b P(a, b) b^2
-    sums = _sum_outcomes(_clamp(raw), bob)
-    p_a, m1, m2 = sums
-    # sum_a P(a) a^2 = <A^2>, sum_a a sum_b P(a, b) b = <A B>, and <B^2>
-    mean_a2, mean_ab, mean_b2 = _sum_outcomes(sums, alice)
-    # P(a) <B>_a^2 per Alice outcome; an outcome with P(a) = 0 adds nothing
-    over = np.divide(m1 * m1, p_a, out=np.zeros_like(p_a), where=p_a > 0.0)
-    sq, var_min, abs_m1, sum_m1 = _sum_outcomes(np.array([over, m2 - over, np.abs(m1), m1]))
-    # Reid's linear estimator g A, from b1 and b2 only
-    mean_a2, mean_ab, mean_b2 = mean_a2[:2], mean_ab[:2], mean_b2[:2]
+    p_a = _sum_outcomes(raw)
+    m1 = _sum_outcomes(raw, bob)
+    m2 = _sum_outcomes(raw, bob * bob)
+    # Reid's linear estimator g A, from b1 and b2 only: sum_a P(a) a^2 =
+    # <A^2>, sum_a a sum_b P(a, b) b = <A B>, and <B^2>
+    mean_a2 = _sum_outcomes(p_a[:2], (alice * alice)[:, :2])
+    mean_ab = _sum_outcomes(m1[:2], alice[:, :2])
+    mean_b2 = _sum_outcomes(m2[:2])
     with np.errstate(divide="ignore", invalid="ignore"):
         g = mean_ab / mean_a2
         var_inf = np.maximum(0.0, mean_b2 - 2.0 * g * mean_ab + g * g * mean_a2)
-    var_min = np.maximum(0.0, var_min[:2])
-    low = raw.min(axis=(1, 2))
-    total = _sum_outcomes(_sum_outcomes(raw))
+    # P(a) <B>_a^2 per Alice outcome; an outcome with P(a) = 0 adds nothing
+    over = np.divide(m1 * m1, p_a, out=np.zeros_like(p_a), where=p_a > 0.0)
+    sq = _sum_outcomes(over[[0, 1, 4]])
+    var_min = np.maximum(0.0, _sum_outcomes(m2[:2] - over[:2]))
     bad = np.concatenate((
         _table_bad(low, total, dim).swapaxes(0, 1).reshape(-1, raw.shape[-1]),
         mean_a2 <= ALICE_POWER_FLOOR,
@@ -344,11 +359,10 @@ def _reduce(settings: MeasurementSettings, raw: np.ndarray, dim: int, out: np.nd
         return _order_message(f"b{kind + 1}", var_inf[kind, i], var_min[kind, i])
 
     _raise_first(bad, message)
-    sq = sq[[0, 1, 4]]
-    np.concatenate(
-        (var_inf, var_min, abs_m1[2:3], sum_m1[3:4], sq, 0.5 * (sq[:1] + sq[1:2] - sq[2:]), g),
-        out=out,
-    )
+    np.concatenate((
+        var_inf, var_min, [_sum_outcomes(np.abs(m1[2])), _sum_outcomes(m1[3])],
+        sq, [0.5 * (sq[0] + sq[1] - sq[2])], g,
+    ), out=out)
 
 
 def _moments(settings: MeasurementSettings, n: int, dim: int, chunk) -> InferredMoments:
@@ -361,7 +375,7 @@ def _moments(settings: MeasurementSettings, n: int, dim: int, chunk) -> Inferred
     for lo in range(0, n, BATCH_CHUNK):
         hi = min(lo + BATCH_CHUNK, n)
         _reduce(settings, chunk(lo, hi), dim, fields[:, lo:hi])
-    return InferredMoments(*fields)
+    return InferredMoments._checked(fields)
 
 
 def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> InferredMoments:
@@ -371,8 +385,13 @@ def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> I
     an (N,) array. An InferenceError names the first state that fails a
     check, and that state's first failed check.
     """
-    stack = pack_tables(settings, raw_tables)
-    return _moments(settings, stack.shape[-1], dim, lambda lo, hi: stack[..., lo:hi])
+    # a zero-padded copy with the batch axis last: the reduction clamps it
+    n = len(raw_tables["b1"])
+    stack = np.zeros(settings.shape + (n,))
+    for t, name in enumerate(settings.pairs):
+        _, na, nb = raw_tables[name].shape
+        stack[t, :na, :nb] = np.moveaxis(raw_tables[name], 0, -1)
+    return _moments(settings, n, dim, lambda lo, hi: stack[..., lo:hi])
 
 
 def mixed_moments(
@@ -381,14 +400,16 @@ def mixed_moments(
     """moment_batch of the tables (1 - w) ends[..., 0] + w ends[..., 1], per weight w.
 
     ends is a packed (T, A, B, 2) stack; the mixed tables are formed one
-    chunk at a time, so the batch never holds all of them at once.
+    chunk at a time, and within a chunk one table at a time, so the batch
+    never holds all of them at once.
     """
     first, last = ends[..., :1], ends[..., 1:]
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         w = weights[lo:hi]
         mixed = (1.0 - w) * first
-        mixed += w * last
+        for table, end in zip(mixed, last):
+            table += w * end
         return mixed
 
     return _moments(settings, len(weights), dim, chunk)
@@ -404,4 +425,5 @@ def full_moments(
     """
     settings = MeasurementSettings.build(b1, b2, pairing_rule)
     _check_state_matches(rho, settings.pairs["b1"])
-    return moment_batch(settings, joint_tables(settings, rho.matrix[None]), rho.dim).row(0)
+    packed = settings.packed_tables(rho.matrix[None])
+    return _moments(settings, 1, rho.dim, lambda lo, hi: packed[..., lo:hi]).row(0)

@@ -111,36 +111,30 @@ def eig_hermitian(a):
     evals = evals[:, ::-1]
     vecs = vecs[:, :, ::-1]
 
-    # a new outcome starts wherever an eigenvalue is DEGENERACY_TOL or more
-    # below its neighbour; outcome (k, start) of rank r spans eigenvalues
-    # start .. start + r - 1 of matrix k
-    d = evals.shape[1]
-    starts = []
-    by_rank: dict[int, list] = {}
-    for k, row in enumerate((evals[:, :-1] - evals[:, 1:] >= DEGENERACY_TOL).tolist()):
-        edges = [0, *(i + 1 for i, gap in enumerate(row) if gap), d]
-        starts.append(edges[:-1])
+    adjoint = vecs.conj().swapaxes(1, 2)
+    # v v^dagger of every eigenvector v in one batched matmul: the projector
+    # of each nondegenerate outcome
+    rank_one = vecs.swapaxes(1, 2)[..., None] @ adjoint[:, :, None, :]
+    rank_one.setflags(write=False)
+
+    decs = []
+    for values, columns, rows, outers in zip(evals.tolist(), vecs, adjoint, rank_one):
+        # a new outcome starts wherever an eigenvalue is DEGENERACY_TOL or
+        # more below its neighbour
+        edges = [0, *(
+            i for i in range(1, len(values)) if values[i - 1] - values[i] >= DEGENERACY_TOL
+        ), len(values)]
+        means, projectors = [], []
         for start, stop in zip(edges, edges[1:]):
-            by_rank.setdefault(stop - start, []).append((k, start))
-
-    # per rank r, one mean over the (M, r) eigenvalues and one matmul over
-    # the (M, d, r) eigenvector columns; each projector is copied out so that
-    # it does not keep the batch alive
-    mean, proj = {}, {}
-    rows = np.arange(d)[None, :, None]
-    for rank, members in by_rank.items():
-        ks, first = np.array(members).T
-        span = first[:, None] + np.arange(rank)
-        mean.update(zip(members, evals[ks[:, None], span].mean(axis=1).tolist()))
-        cols = vecs[ks[:, None, None], rows, span[:, None, :]]
-        for key, p in zip(members, cols @ cols.conj().swapaxes(1, 2)):
-            proj[key] = p.copy()
-            proj[key].setflags(write=False)
-
-    decs = tuple(
-        SpectralDecomposition(
-            tuple(mean[k, s] for s in ss), tuple(proj[k, s] for s in ss)
-        )
-        for k, ss in enumerate(starts)
-    )
-    return decs[0] if single else decs
+            if stop - start == 1:
+                means.append(values[start])
+                projectors.append(outers[start])
+                continue
+            # a merged outcome: the mean of its eigenvalues, and its projector
+            # from its own eigenvector columns
+            means.append(float(np.mean(values[start:stop])))
+            p = columns[:, start:stop] @ rows[start:stop]
+            p.setflags(write=False)
+            projectors.append(p)
+        decs.append(SpectralDecomposition(tuple(means), tuple(projectors)))
+    return decs[0] if single else tuple(decs)

@@ -95,15 +95,18 @@ class DensityMatrix:
         return len(self.dims) == 2
 
 
-def max_entangled(d: int) -> DensityMatrix:
-    """Projector onto |Psi+> = sum_i |ii> / sqrt(d), as a (d, d) state."""
+def _psi_plus(d: int) -> np.ndarray:
+    """The matrix |Psi+><Psi+| with |Psi+> = sum_i |ii> / sqrt(d), integer d >= 2."""
     if int(d) != d or d < 2:
         raise InvalidStateError(f"d must be an integer >= 2, got {d}")
-    d = int(d)
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        vec[i * d + i] = 1.0 / np.sqrt(d)
-    return DensityMatrix(np.outer(vec, vec.conj()), (d, d))
+    # entry i * d + i of the flattened identity is |ii>
+    vec = np.eye(int(d), dtype=complex).reshape(-1) * (1.0 / np.sqrt(d))
+    return np.outer(vec, vec.conj())
+
+
+def max_entangled(d: int) -> DensityMatrix:
+    """Projector onto |Psi+> = sum_i |ii> / sqrt(d), as a (d, d) state."""
+    return DensityMatrix(_psi_plus(d), (int(d), int(d)))
 
 
 def isotropic(d: int, p: float) -> DensityMatrix:
@@ -112,12 +115,12 @@ def isotropic(d: int, p: float) -> DensityMatrix:
     Spectrum: (1 - p) / d^2 with multiplicity d^2 - 1, and (1 - p) / d^2 + p
     once, so the result is a valid state for every p in [0, 1].
     """
-    psi = max_entangled(d)
+    psi = _psi_plus(d)
     if not 0.0 <= p <= 1.0:
         raise InvalidStateError(f"p must lie in [0, 1], got {p}")
     d, p = int(d), float(p)
     noise = np.eye(d * d, dtype=complex) * ((1.0 - p) / (d * d))
-    return DensityMatrix(noise + p * psi.matrix, (d, d))
+    return DensityMatrix(noise + p * psi, (d, d))
 
 
 def state_diagnostics(m) -> dict:

@@ -161,7 +161,8 @@ def sweep(
         raise FamilyError(
             f"need 0 <= p_start < p_end <= 1, got [{p_start}, {p_end}]"
         )
-    if int(steps) != steps or not 2 <= steps <= MAX_SWEEP_STEPS:
+    # the range test first: int() of NaN or infinity raises
+    if not 2 <= steps <= MAX_SWEEP_STEPS or int(steps) != steps:
         raise FamilyError(
             f"steps must be an integer in [2, {MAX_SWEEP_STEPS}], got {steps}"
         )

@@ -156,6 +156,9 @@ def test_sweep_validates_arguments():
         sweep("isotropic", 2, steps=1)
     with pytest.raises(FamilyError):
         sweep("isotropic", 2, steps=MAX_SWEEP_STEPS + 1)
+    for steps in (float("nan"), float("inf")):
+        with pytest.raises(FamilyError, match="steps must be an integer"):
+            sweep("isotropic", 2, steps=steps)
     with pytest.raises(FamilyError):
         sweep("isotropic", 2, mode="unknown")
     with pytest.raises(FamilyError):

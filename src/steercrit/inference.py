@@ -319,8 +319,9 @@ def joint_tables(settings: MeasurementSettings, matrices: np.ndarray) -> dict:
 def _reduce(settings: MeasurementSettings, raw: np.ndarray, dim: int, out: np.ndarray) -> None:
     """Check one (T, A, B, n) chunk of raw tables and write its moments to out.
 
-    raw is the caller's own chunk: it is clamped in place. out is (12, n),
-    one row per InferredMoments field in field order. The 14 checks form
+    raw is clamped in place, so it must be a chunk the reduction owns, never
+    a caller's tables. out is (12, n), one row per InferredMoments field in
+    field order. The 14 checks form
     one (14, n) matrix: per table its negative cell and its normalisation,
     then <A^2> and the variance order of b1 and b2.
     """

@@ -130,8 +130,6 @@ def eig_hermitian(a):
                 means.append(values[start])
                 projectors.append(outers[start])
                 continue
-            # a merged outcome: the mean of its eigenvalues, and its projector
-            # from its own eigenvector columns
             means.append(float(np.mean(values[start:stop])))
             p = columns[:, start:stop] @ rows[start:stop]
             p.setflags(write=False)

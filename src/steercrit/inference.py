@@ -241,7 +241,8 @@ class MeasurementSettings:
         """Alice's outcomes as an (A, T, 1) and Bob's as a (B, T, 1, 1) array.
 
         Entry [k, t] is outcome k of table t. Both are zero-padded like the
-        packed tables, so a padded row or column has outcome 0.
+        packed tables, so a padded row or column has outcome 0, and both are
+        read-only, like products.
         """
         tables, na, nb = self.shape
         a = np.zeros((na, tables, 1))
@@ -249,6 +250,8 @@ class MeasurementSettings:
         for t, pair in enumerate(self.pairs.values()):
             a[:len(pair.alice.outcomes), t, 0] = pair.alice.outcomes
             b[:len(pair.bob.outcomes), t, 0, 0] = pair.bob.outcomes
+        a.setflags(write=False)
+        b.setflags(write=False)
         return a, b
 
 

@@ -131,15 +131,15 @@ def family_evaluator(
 ) -> Callable[[float], CriterionReport]:
     """p -> CriterionReport for one family/criterion/mode combination.
 
-    Engine modes compile the family's tables once up front and evaluate each
-    p as a batch of one, so the evaluator is pure.
+    Engine modes take the family's compiled tables and evaluate each p as a
+    batch of one, so the evaluator is pure.
     """
     _check_config(criterion, mode)
     if mode == MODE_CLOSED_FORM:
         return lambda p: closed_form_report(family, p, criterion)
     moments_at = family_moments(family)
     return lambda p: CriterionReport(
-        criterion, mode, moments_at([p]).row(0), family_descriptor(family, p)
+        criterion, mode, moments_at(p), family_descriptor(family, p)
     )
 
 

@@ -9,7 +9,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import steercrit.families
 from steercrit import DensityMatrix, Observable
+
+
+@pytest.fixture(autouse=True)
+def cold_family_cache():
+    """Every test starts with no family compiled, so none depends on the
+    order tests run in or inherits a compile made under another test's
+    monkeypatch."""
+    steercrit.families._compiled.cache_clear()
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -62,7 +62,6 @@ from .inference import (
     expectation,
     full_moments,
     joint_distribution,
-    joint_tables,
     moment_batch,
 )
 from .linalg import (

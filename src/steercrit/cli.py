@@ -176,9 +176,10 @@ def _resolve(args) -> tuple:
     Returns (family, p, rho, b1, b2, rule, descriptor). family is the
     built-in family name, or None for --family file. sweep and threshold
     get the family alone, and only a file gets a descriptor: a built-in
-    family's report names its own state. --audit is checked against --out,
-    then every output path, then the other flags, in a fixed order; the
-    first failing check is the error reported.
+    family's report names its own state. A family's rho, b1 and b2 are None
+    too: its audit builds them, and nothing else reads them. --audit is
+    checked against --out, then every output path, then the other flags, in
+    a fixed order; the first failing check is the error reported.
     """
     evaluate = args.command == "evaluate"
     out = getattr(args, "out", None)  # sweep's CSV or the audit bundle
@@ -231,8 +232,7 @@ def _resolve(args) -> tuple:
         raise _ConfigError(f"--p must lie in [0, 1], got {args.p}")
     if args.pairing != "transpose" or args.pairing_file is not None:
         raise _ConfigError("the isotropic families use the transpose pairing")
-    return (family, args.p, family_state(family, args.p), *family_observables(family),
-            default_pairing, None)
+    return family, args.p, None, None, None, default_pairing, None
 
 
 def _cmd_evaluate(args) -> int:
@@ -245,12 +245,14 @@ def _cmd_evaluate(args) -> int:
     _print_json(report.to_json_dict())
 
     if args.audit:
-        # closed-form reports carry closed-form moments; the engine runs once here
-        if args.mode == MODE_CLOSED_FORM:
-            engine = full_moments(rho, b1, b2, rule)
-        else:
-            engine = report.moments
-        closed_diff = diff_rows(family, p, engine) if family is not None else None
+        engine, closed_diff = report.moments, None
+        if family is not None:  # only the audit reads a family's state and observables
+            rho, (b1, b2) = family_state(family, p), family_observables(family)
+            # closed-form reports, of families only, carry closed-form
+            # moments; the engine runs once here
+            if args.mode == MODE_CLOSED_FORM:
+                engine = full_moments(rho, b1, b2, rule)
+            closed_diff = diff_rows(family, p, engine)
         oracle = audit_dump(rho, b1, b2, rule)
         engine_moments = engine.as_dict()
         diffs = [

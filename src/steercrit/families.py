@@ -56,7 +56,7 @@ def _preset(family: str) -> tuple:
 
 def family_for_dimension(d: int) -> str:
     for name, (dim, _, _) in _PRESETS.items():
-        if dim == int(d):
+        if dim == d:
             return name
     raise FamilyError(f"no built-in family for local dimension {d}")
 

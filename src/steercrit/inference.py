@@ -12,17 +12,20 @@ Every moment, the linear-g ones included, is a sum over the joint outcome
 tables P(a, b) = tr[rho (P_a tensor Q_b)]. MeasurementSettings zero-pads the
 projector stacks of its five pairings (b1, b2, commutator, anticommutator,
 difference) into one (T, A, B, D, D) stack, T = 5 tables, A and B the most
-Alice and Bob outcomes of any table. One einsum of N states against it gives
-the packed (T, A, B, N) raw tables, batch axis last, that full_moments and
-family_moments reduce; joint_tables gives per-table views of the same
-contraction. A padded cell holds the zero matrix, so its table cell is +0.0
-and has outcome 0, and it adds +0.0 to every sum. The reduction walks the
-packed tables BATCH_CHUNK states at a time. It clamps each chunk in place
-once the checks have read it: every chunk is the reduction's own array (a
-packed contraction, a moment_batch copy or a freshly mixed chunk), never
-the caller's tables. It then forms each sum over outcomes on its own, over
-the tables that need it. Each field of the one InferredMoments record
-becomes an (N,) array. A single state is a batch of 1, and row(i) gives
+Alice and Bob outcomes of any table. packed_tables contracts N states
+against it into the packed (T, A, B, N) raw tables, batch axis last: the
+one table format of the engine. Table t is pairing t of pairs, and its
+[t, :na, :nb] slice is that pairing's own na x nb table. A padded cell holds
+the zero matrix, so its table cell is +0.0 and has outcome 0, and it adds
++0.0 to every sum. One contraction, _contract, gives these tables, a single
+pairing's table and a single expectation value. moment_batch takes a packed
+stack (full_moments passes its state's, a batch of 1), and mixed_moments
+mixes two packed end-state stacks. Both walk the tables BATCH_CHUNK states
+at a time and clamp each chunk in place once the checks have read it:
+every chunk is the reduction's own array (a copy of the caller's slice or a
+freshly mixed chunk), never the caller's tables. The reduction then forms
+each sum over outcomes on its own, over the tables that need it. Each field
+of the one InferredMoments record becomes an (N,) array, and row(i) gives
 state i's record of floats.
 
 Every operation of the reduction is row-independent, so row i of its result
@@ -134,8 +137,12 @@ def _table_message(kind: int, low, total) -> str:
 
 
 def _contract(matrices: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """tr[rho_n (P_a tensor Q_b)]: (N, D, D) states -> (N, na, nb) raw tables."""
-    return np.einsum("nij,abji->nab", matrices, stack).real
+    """Re tr[rho_n M]: (N, D, D) states, (..., D, D) operators -> (..., N).
+
+    A (T, A, B, D, D) stack gives the packed tables, a pairing's
+    (na, nb, D, D) projector_products its (na, nb, N) tables.
+    """
+    return np.einsum("nij,...ji->...n", matrices, stack).real
 
 
 def _sum_outcomes(x: np.ndarray, weights=None) -> np.ndarray:
@@ -161,7 +168,7 @@ def _sum_outcomes(x: np.ndarray, weights=None) -> np.ndarray:
 def joint_distribution(rho: DensityMatrix, pairing: ObservablePairing) -> JointDistribution:
     """P(a, b) = tr[rho (P_a tensor Q_b)] over merged eigenprojectors."""
     _check_state_matches(rho, pairing)
-    raw = _contract(rho.matrix[None], pairing.projector_products)[0]
+    raw = _contract(rho.matrix[None], pairing.projector_products)[..., 0]
     low, total = raw.min(), raw.sum()
     _raise_first(
         _table_bad(low, total, rho.dim)[:, None],
@@ -178,7 +185,7 @@ def expectation(rho: DensityMatrix, matrix: np.ndarray) -> float:
         raise InferenceError(
             f"operator dimension {matrix.shape[0]} does not match state {rho.dim}"
         )
-    return float(np.einsum("ij,ji->", rho.matrix, matrix).real)
+    return float(_contract(rho.matrix[None], matrix)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +241,7 @@ class MeasurementSettings:
 
     def packed_tables(self, matrices: np.ndarray) -> np.ndarray:
         """(N, D, D) states -> (T, A, B, N) raw tables, from one contraction."""
-        return np.einsum("nij,tabji->tabn", matrices, self.products).real
+        return _contract(matrices, self.products)
 
     @cached_property
     def outcome_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -303,22 +310,6 @@ class InferredMoments:
         return self._checked(float(value[i]) for value in vars(self).values())
 
 
-def joint_tables(settings: MeasurementSettings, matrices: np.ndarray) -> dict:
-    """Unchecked tables of N states given as an (N, D, D) array.
-
-    Returns table name -> (N, na, nb) raw tr[rho (P_a tensor Q_b)] values,
-    each a view of one packed contraction; moment_batch checks and clamps
-    them.
-    """
-    packed = settings.packed_tables(matrices)
-    return {
-        name: np.moveaxis(
-            packed[t, :len(pair.alice.outcomes), :len(pair.bob.outcomes)], -1, 0
-        )
-        for t, (name, pair) in enumerate(settings.pairs.items())
-    }
-
-
 def _reduce(settings: MeasurementSettings, raw: np.ndarray, dim: int, out: np.ndarray) -> None:
     """Check one (T, A, B, n) chunk of raw tables and write its moments to out.
 
@@ -382,20 +373,20 @@ def _moments(settings: MeasurementSettings, n: int, dim: int, chunk) -> Inferred
     return InferredMoments._checked(fields)
 
 
-def moment_batch(settings: MeasurementSettings, raw_tables: dict, dim: int) -> InferredMoments:
-    """Check and clamp N states' raw tables, then reduce them to every moment.
+def moment_batch(settings: MeasurementSettings, tables: np.ndarray, dim: int) -> InferredMoments:
+    """Check and clamp N states' packed (T, A, B, N) raw tables, then reduce
+    them to every moment.
 
     dim is the full dimension D of the states; every field of the result is
     an (N,) array. An InferenceError names the first state that fails a
-    check, and that state's first failed check.
+    check, and that state's first failed check. The reduction clamps a copy
+    of each chunk, so the caller's tables are left unchanged.
     """
-    # a zero-padded copy with the batch axis last: the reduction clamps it
-    n = len(raw_tables["b1"])
-    stack = np.zeros(settings.shape + (n,))
-    for t, name in enumerate(settings.pairs):
-        _, na, nb = raw_tables[name].shape
-        stack[t, :na, :nb] = np.moveaxis(raw_tables[name], 0, -1)
-    return _moments(settings, n, dim, lambda lo, hi: stack[..., lo:hi])
+    if tables.shape[:-1] != settings.shape:
+        raise InferenceError(
+            f"packed tables of shape {tables.shape} do not match settings {settings.shape}"
+        )
+    return _moments(settings, tables.shape[-1], dim, lambda lo, hi: tables[..., lo:hi].copy())
 
 
 def mixed_moments(
@@ -425,9 +416,8 @@ def full_moments(
     """Compute the complete InferredMoments record of one state, a batch of 1.
 
     Its tables are contracted alone, so it can differ in the last ulp from
-    the same state's row of a larger joint_tables batch.
+    the same state's row of a larger packed_tables batch.
     """
     settings = MeasurementSettings.build(b1, b2, pairing_rule)
     _check_state_matches(rho, settings.pairs["b1"])
-    packed = settings.packed_tables(rho.matrix[None])
-    return _moments(settings, 1, rho.dim, lambda lo, hi: packed[..., lo:hi]).row(0)
+    return moment_batch(settings, settings.packed_tables(rho.matrix[None]), rho.dim).row(0)

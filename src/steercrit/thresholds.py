@@ -99,14 +99,18 @@ class ThresholdResult:
 
 
 def resolve_family(family: str, d: int | None = None) -> str:
-    """Accept either a family name or ("isotropic", d)."""
-    if family in FAMILIES:
-        return family
-    if family == "isotropic":
-        if d is None:
-            raise FamilyError("family 'isotropic' needs a local dimension d")
-        return family_for_dimension(d)
-    raise FamilyError(f"unknown family {family!r}")
+    """Accept a family name, ("isotropic", d), or a family name with its own d.
+
+    A d that no family has, or that differs from the named family's, raises.
+    """
+    if family not in (*FAMILIES, "isotropic"):
+        raise FamilyError(f"unknown family {family!r}")
+    named = family if d is None else family_for_dimension(d)
+    if named == "isotropic":
+        raise FamilyError("family 'isotropic' needs a local dimension d")
+    if family not in ("isotropic", named):
+        raise FamilyError(f"family {family!r} does not have local dimension {d}")
+    return named
 
 
 def _check_config(criterion: str, mode: str) -> None:

@@ -340,6 +340,22 @@ def test_audit_bundle(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("mode", ("linear-g", "conditional-mean", "paper-closed-form"))
+def test_warm_family_evaluate_builds_no_state_or_observable(capsys, monkeypatch, mode):
+    # without --audit nothing reads a family's state or observables
+    argv = ["evaluate", "--d", "2", "--p", "0.5", "--mode", mode]
+    assert main(argv) == 0
+    built = []
+    for cls in (DensityMatrix, Observable):
+        real = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, real=real: built.append(self) or real(self)
+        )
+    assert main(argv) == 0
+    assert built == []
+    capsys.readouterr()
+
+
 def test_audit_on_file_family_has_no_closed_form_diff(tmp_path, capsys):
     state_path, obs_path = _write_family_files(tmp_path)
     out_path = tmp_path / "audit.json"

@@ -31,7 +31,6 @@ from steercrit import (
     full_moments,
     isotropic,
     joint_distribution,
-    joint_tables,
     max_entangled,
     moment_batch,
     oracle_moments,
@@ -225,18 +224,23 @@ def test_moment_batch_reports_first_failing_state():
         return np.diag([0.5, 0.5 + eps, 0.0, -eps]).astype(complex)
 
     good = isotropic(2, 0.5).matrix
-    raw = joint_tables(settings_, np.stack([good, below_zero(1e-3), below_zero(2e-3)]))
+    raw = settings_.packed_tables(np.stack([good, below_zero(1e-3), below_zero(2e-3)]))
     with pytest.raises(InferenceError, match="negative joint probability -1.000e-03"):
         moment_batch(settings_, raw, 4)
-    batch = moment_batch(settings_, joint_tables(settings_, good[None]), 4)
+    batch = moment_batch(settings_, settings_.packed_tables(good[None]), 4)
     assert batch.row(0).as_dict() == full_moments(
         DensityMatrix(good, dims=(2, 2)), spin_half("x"), spin_half("z")
     ).as_dict()
 
 
-def _qubit_tables(settings_, p=0.5) -> dict:
-    """Raw tables of isotropic(2, p), one row, as writable copies."""
-    return {k: t.copy() for k, t in joint_tables(settings_, isotropic(2, p).matrix[None]).items()}
+def _qubit_tables(settings_, p=0.5) -> np.ndarray:
+    """Packed raw tables of isotropic(2, p), one state, in a fresh array."""
+    return settings_.packed_tables(isotropic(2, p).matrix[None])
+
+
+def _table(settings_, name: str) -> int:
+    """The index of table name in the packed stack."""
+    return list(settings_.pairs).index(name)
 
 
 def test_moment_batch_reports_a_row_check_before_a_later_table_check():
@@ -247,11 +251,11 @@ def test_moment_batch_reports_a_row_check_before_a_later_table_check():
     rule = explicit_pairing({"Sz": zero, "Sx": spin_half("x").transpose()})
     settings_ = MeasurementSettings.build(spin_half("z"), spin_half("x"), rule)
     good = isotropic(2, 0.5).matrix
-    raw = joint_tables(settings_, np.stack([good, good]))
-    raw["b2"][1, 0, 0] = -1e-3
+    raw = settings_.packed_tables(np.stack([good, good]))
+    raw[_table(settings_, "b2"), 0, 0, 1] = -1e-3
     with pytest.raises(InferenceError, match="<A\\^2> = 0.000e\\+00"):
         moment_batch(settings_, raw, 4)
-    later = {k: t[1:] for k, t in raw.items()}
+    later = raw[..., 1:]
     with pytest.raises(InferenceError, match="negative joint probability -1.000e-03"):
         moment_batch(settings_, later, 4)
 
@@ -259,10 +263,10 @@ def test_moment_batch_reports_a_row_check_before_a_later_table_check():
 def test_moment_batch_checks_tables_in_order_within_a_row():
     settings_ = MeasurementSettings.build(spin_half("x"), spin_half("z"))
     raw = _qubit_tables(settings_)
-    raw["difference"] *= 1.5
+    raw[_table(settings_, "difference")] *= 1.5
     with pytest.raises(InferenceError, match="sum to 1.5, not 1"):
         moment_batch(settings_, raw, 4)
-    raw["b2"][0, 1, 1] = -2e-3
+    raw[_table(settings_, "b2"), 1, 1, 0] = -2e-3
     with pytest.raises(InferenceError, match="negative joint probability -2.000e-03"):
         moment_batch(settings_, raw, 4)
 
@@ -271,11 +275,13 @@ def test_smaller_table_reports_its_own_values():
     # {Sx, Sz} = 0, so the anticommutator table is 1 x 1 beside 2 x 2 ones
     settings_ = MeasurementSettings.build(spin_half("x"), spin_half("z"))
     raw = _qubit_tables(settings_)
-    assert raw["anticommutator"].shape == (1, 1, 1)
-    raw["anticommutator"][0, 0, 0] = 0.75
+    assert settings_.pairs["anticommutator"].projector_products.shape[:2] == (1, 1)
+    assert settings_.shape == (5, 2, 2)
+    t = _table(settings_, "anticommutator")
+    raw[t, 0, 0, 0] = 0.75
     with pytest.raises(InferenceError, match="sum to 0.75, not 1"):
         moment_batch(settings_, raw, 4)
-    raw["anticommutator"][0, 0, 0] = -0.25
+    raw[t, 0, 0, 0] = -0.25
     with pytest.raises(InferenceError, match="negative joint probability -2.500e-01"):
         moment_batch(settings_, raw, 4)
 
@@ -293,7 +299,7 @@ def test_tables_of_unequal_shape_match_the_oracle(rng):
         other = random_observable(rng, 3, "B2")
         for b1, b2 in ((degenerate, other), (other, degenerate)):
             settings_ = MeasurementSettings.build(b1, b2)
-            shapes = {t.shape[1:] for t in joint_tables(settings_, rho.matrix[None]).values()}
+            shapes = {pair.projector_products.shape[:2] for pair in settings_.pairs.values()}
             assert len(shapes) > 1
             engine = full_moments(rho, b1, b2).as_dict()
             for key, value in oracle_moments(rho, b1, b2).items():
@@ -311,10 +317,10 @@ def test_moment_batch_rows_do_not_depend_on_the_batch(d):
             random_observable(rng, d, "B1"), random_observable(rng, d, "B2")
         )
         stack = np.stack([random_bipartite(rng, d, d).matrix for _ in range(4)])
-        raw = joint_tables(settings_, stack)
+        raw = settings_.packed_tables(stack)
         batch = moment_batch(settings_, raw, d * d)
         for i in range(4):
-            alone = moment_batch(settings_, {k: t[i:i + 1] for k, t in raw.items()}, d * d)
+            alone = moment_batch(settings_, raw[..., i:i + 1], d * d)
             assert batch.row(i).as_dict() == alone.row(0).as_dict()
 
 
@@ -328,7 +334,7 @@ def _degenerate_cases(rng):
             yield MeasurementSettings.build(b1, b2), states
 
 
-def test_joint_tables_match_each_pairings_own_contraction(rng):
+def test_packed_tables_match_each_pairings_own_contraction(rng):
     cases = [
         (
             MeasurementSettings.build(*family_observables(family)),
@@ -339,29 +345,46 @@ def test_joint_tables_match_each_pairings_own_contraction(rng):
     cases += list(_degenerate_cases(rng))
     for settings_, states in cases:
         for matrices in (states, states[:1]):
-            tables = joint_tables(settings_, matrices)
-            assert list(tables) == list(settings_.pairs)
+            tables = settings_.packed_tables(matrices)
+            assert tables.shape == settings_.shape + (len(matrices),)
             for name, pairing in settings_.pairs.items():
+                t = _table(settings_, name)
                 alone = _contract(matrices, pairing.projector_products)
-                assert tables[name].shape == alone.shape
-                assert tables[name].tobytes() == alone.tobytes(), name
+                na, nb = alone.shape[:2]
+                assert tables[t, :na, :nb].tobytes() == alone.tobytes(), name
+                # padded cells are +0.0
+                assert not tables[t, na:].any() and not tables[t, :, nb:].any(), name
 
 
 def test_moment_batch_leaves_the_callers_tables_unchanged(rng):
     qubit = MeasurementSettings.build(spin_half("x"), spin_half("z"))
     raw = _qubit_tables(qubit, p=1.0)
     # cells the reduction clamps to 0: a tiny negative one and a tiny positive one
-    raw["b1"][0, 0, 1] = -1e-13
-    raw["b2"][0, 1, 0] = 5e-13
+    raw[_table(qubit, "b1"), 0, 1, 0] = -1e-13
+    raw[_table(qubit, "b2"), 1, 0, 0] = 5e-13
     cases = [(qubit, raw, 4)] + [
-        (settings_, joint_tables(settings_, states), states.shape[-1])
+        (settings_, settings_.packed_tables(states), states.shape[-1])
         for settings_, states in _degenerate_cases(rng)
     ]
     for settings_, tables, dim in cases:
-        before = {k: t.copy() for k, t in tables.items()}
+        before = tables.copy()
         moment_batch(settings_, tables, dim)
-        for k, t in tables.items():
-            assert t.tobytes() == before[k].tobytes(), k
+        assert tables.tobytes() == before.tobytes()
+
+
+def test_moment_batch_rejects_tables_of_another_shape():
+    qubit = MeasurementSettings.build(spin_half("x"), spin_half("z"))
+    qutrit = MeasurementSettings.build(*qutrit_triplet()[:2])
+    tables = _qubit_tables(qubit)
+    wrong = (
+        tables[0],
+        tables[:, :1],
+        tables[None],
+        qutrit.packed_tables(isotropic(3, 0.5).matrix[None]),
+    )
+    for raw in wrong:
+        with pytest.raises(InferenceError, match=r"packed tables of shape .* do not match"):
+            moment_batch(qubit, raw, 4)
 
 
 def test_moment_record_rejects_inverted_variances():

@@ -16,6 +16,7 @@ from steercrit import (
     InvalidStateError,
     ThresholdError,
     bisect_threshold,
+    family_for_dimension,
     family_observables,
     family_state,
     find_threshold,
@@ -52,6 +53,21 @@ def test_resolve_family():
         resolve_family("isotropic", 4)
     with pytest.raises(FamilyError):
         resolve_family("isotropic")
+    # a family name takes a d only if it is that family's
+    assert resolve_family(FAMILY_QUBIT_XZ, 2) == FAMILY_QUBIT_XZ
+    assert resolve_family(FAMILY_QUTRIT_B1B2, 3) == FAMILY_QUTRIT_B1B2
+    # a non-integer d is no family's, not the one of its integer part
+    for d in (2.5, 3.9):
+        with pytest.raises(FamilyError, match=f"no built-in family for local dimension {d}"):
+            resolve_family("isotropic", d)
+        with pytest.raises(FamilyError):
+            family_for_dimension(d)
+    for family, d in ((FAMILY_QUBIT_XZ, 3), (FAMILY_QUTRIT_B1B2, 2)):
+        with pytest.raises(FamilyError, match=f"{family!r} does not have local dimension {d}"):
+            resolve_family(family, d)
+    for family, d in ((FAMILY_QUBIT_XZ, 2.5), (FAMILY_QUBIT_XZ, 4)):
+        with pytest.raises(FamilyError, match=f"no built-in family for local dimension {d}"):
+            resolve_family(family, d)
 
 
 def test_sweep_grid_and_endpoints():
@@ -163,6 +179,9 @@ def test_sweep_validates_arguments():
         sweep("isotropic", 2, mode="unknown")
     with pytest.raises(FamilyError):
         sweep("isotropic", 2, criterion="unknown")
+    for family, d in (("isotropic", 2.5), (FAMILY_QUBIT_XZ, 3), (FAMILY_QUTRIT_B1B2, 2)):
+        with pytest.raises(FamilyError):
+            sweep(family, d)
 
 
 def test_bisect_on_analytic_margin():
@@ -253,6 +272,9 @@ def test_find_threshold_rejects_unknowns():
         find_threshold("isotropic", 5)
     with pytest.raises(FamilyError):
         find_threshold("isotropic", 2, mode="unknown")
+    for family, d in (("isotropic", 2.5), (FAMILY_QUBIT_XZ, 3), (FAMILY_QUTRIT_B1B2, 2)):
+        with pytest.raises(FamilyError):
+            find_threshold(family, d)
     for tol in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ThresholdError):
             find_threshold("isotropic", 2, tol=tol)

@@ -3,14 +3,18 @@
 The package evaluates uncertainty-relation steering tests in which one
 party's measurement outcomes are used to infer the other party's moments.
 A criterion is violated when the product of inferred variances drops below
-the bound built from the inferred commutator and covariance terms; any
-violation certifies steering of the measured party's state.
+the bound built from the inferred commutator and covariance terms. An HUR
+violation certifies steering of the measured party's state, because Reid's
+local-hidden-state argument covers its commutator term. An SRUR violation
+that HUR does not share is not yet a certificate: the SRUR covariance term
+has no such argument, and it flags a separable state.
 
 Layers, bottom up: the one set of numerical tolerances (`tolerances`),
 exact Hermitian linear algebra (`linalg`), density matrices and the
 isotropic family (`states`), measurement observables and the Alice/Bob
 pairing rules (`observables`), inferred-moment assembly (`inference`), the
-criteria themselves (`criteria`), published closed-form expressions for the
+built-in families and their compiled tables (`families`), the criteria
+themselves (`criteria`), published closed-form expressions for the
 two reference families (`closed_forms`), sweep plus threshold search
 (`thresholds`), a brute-force probability-table oracle used for
 cross-validation (`oracle`), and the CLI (`cli`).
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 from .closed_forms import (
     DIFF_SLOTS,
-    MODE_CLOSED_FORM,
     ClosedFormError,
     DiffRow,
     closed_form_report,
@@ -33,6 +36,9 @@ from .closed_forms import (
 from .criteria import (
     CRITERION_HUR,
     CRITERION_SRUR,
+    MODE_CLOSED_FORM,
+    MODE_CONDITIONAL_MEAN,
+    MODE_LINEAR_G,
     CriterionReport,
     evaluate_criterion,
     evaluate_srur,
@@ -53,8 +59,6 @@ from .families import (
     family_state,
 )
 from .inference import (
-    MODE_CONDITIONAL_MEAN,
-    MODE_LINEAR_G,
     InferenceError,
     InferredMoments,
     JointDistribution,

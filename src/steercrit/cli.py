@@ -21,15 +21,17 @@ import sys
 from pathlib import Path
 from stat import S_ISDIR
 
-from .closed_forms import (
+from .closed_forms import ClosedFormError, diff_rows, write_diff_csv
+from .criteria import (
+    CRITERIA,
+    CRITERION_SRUR,
     MODE_CLOSED_FORM,
-    ClosedFormError,
-    diff_rows,
-    write_diff_csv,
+    MODE_LINEAR_G,
+    MODES,
+    evaluate_criterion,
 )
-from .criteria import CRITERION_SRUR, evaluate_criterion
-from .families import FamilyError, family_observables, family_state
-from .inference import MODE_LINEAR_G, InferenceError, full_moments
+from .families import FamilyError, family_moments, family_observables, family_state
+from .inference import InferenceError
 from .linalg import LinalgError
 from .observables import (
     default_pairing,
@@ -39,8 +41,6 @@ from .observables import (
 from .oracle import OracleError, audit_dump
 from .states import InvalidStateError, state_file_diagnostics, state_from_json
 from .thresholds import (
-    CRITERIA,
-    MODES,
     ThresholdError,
     family_evaluator,
     find_threshold,
@@ -248,10 +248,11 @@ def _cmd_evaluate(args) -> int:
         engine, closed_diff = report.moments, None
         if family is not None:  # only the audit reads a family's state and observables
             rho, (b1, b2) = family_state(family, p), family_observables(family)
-            # closed-form reports, of families only, carry closed-form
-            # moments; the engine runs once here
+            # a closed-form report carries closed-form moments; the engine
+            # moments come from the compiled family, as in the engine modes,
+            # so the bundle does not depend on the mode
             if args.mode == MODE_CLOSED_FORM:
-                engine = full_moments(rho, b1, b2, rule)
+                engine = family_moments(family)(p)
             closed_diff = diff_rows(family, p, engine)
         oracle = audit_dump(rho, b1, b2, rule)
         engine_moments = engine.as_dict()

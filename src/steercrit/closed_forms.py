@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CRITERION_SRUR, CriterionReport
+from .criteria import CRITERION_SRUR, MODE_CLOSED_FORM, CriterionReport
 from .families import FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2, family_descriptor
-from .inference import MODE_CLOSED_FORM, InferredMoments
+from .inference import InferredMoments
 
 
 class ClosedFormError(ValueError):
@@ -114,7 +114,8 @@ def closed_form_report(
     """The criterion on the family's closed-form moments at a float p.
 
     The closed forms take the same IEEE operations on a float as on a grid,
-    so the report equals a sweep row at p bit for bit.
+    so the report equals a sweep row at p bit for bit, and it is the report
+    of thresholds.family_evaluator in the closed-form mode.
     """
     return CriterionReport(
         criterion, MODE_CLOSED_FORM, closed_forms_for(family, p),

@@ -7,9 +7,16 @@ commutator term plus an inferred covariance term,
     rhs = 1/4 * (|<[B1,B2]>|_inf)^2
         + (1/2 * <{B1,B2}>_inf - (<B1><B2>)_inf)^2,
 
-and a negative margin (lhs < rhs) certifies steering. The HUR baseline keeps
+and a negative margin (lhs < rhs) is a violation. The HUR baseline keeps
 only the commutator term, so rhs_hur <= rhs_srur always: every HUR violation
 is an SRUR violation but not conversely.
+
+An HUR violation certifies steering: the commutator term is linear in Bob's
+conditional states, so Reid's local-hidden-state argument bounds it. An
+SRUR-only violation is not yet a certificate. The covariance term's product
+of means is quadratic and is inferred by polarisation from three Alice
+settings; no such argument covers it, and it flags the separable state
+1/2 (|++><++| + |--><--|) with Bob's pair (Sx, Sz).
 """
 
 from __future__ import annotations
@@ -17,9 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .inference import (
-    MODE_CLOSED_FORM,
-    MODE_CONDITIONAL_MEAN,
-    MODE_LINEAR_G,
     InferenceError,
     InferredMoments,
     expectation,
@@ -37,6 +41,11 @@ from .states import DensityMatrix
 CRITERION_SRUR = "srur"
 CRITERION_HUR = "hur"
 
+# the two engine estimators of inference, and the published closed forms of
+# closed_forms; criterion_sides gives each mode its lhs
+MODE_LINEAR_G = "linear-g"
+MODE_CONDITIONAL_MEAN = "conditional-mean"
+MODE_CLOSED_FORM = "paper-closed-form"
 MODES = (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN, MODE_CLOSED_FORM)
 CRITERIA = (CRITERION_SRUR, CRITERION_HUR)
 

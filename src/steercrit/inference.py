@@ -66,11 +66,6 @@ from .tolerances import (
 )
 
 
-MODE_LINEAR_G = "linear-g"
-MODE_CONDITIONAL_MEAN = "conditional-mean"
-# the published closed forms of closed_forms, not an engine estimator
-MODE_CLOSED_FORM = "paper-closed-form"
-
 # states reduced together; bounds the reduction's temporaries, whatever the
 # batch size: a tracemalloc peak of 18.7 MB beside the (12, N) result for
 # qutrit tables, 12.6 MB for qubit ones

@@ -8,9 +8,10 @@ family search evaluates the midpoints of the next _TREE_DEPTH bisection
 steps in one batched call and walks them: at the default tol that is 6
 calls instead of 27, with the result of a one-point-at-a-time bisection.
 
-Every mode evaluates a whole grid of p in one vectorised pass: the engine
-modes through families.family_moments, the closed-form mode through
-closed_forms.closed_forms_for, and a sweep keeps the grid's p, lhs, rhs and
+Every mode evaluates a whole grid of p in one vectorised pass through the
+one moments source that _family_moments picks for it: the engine modes
+through families.family_moments, the closed-form mode through
+closed_forms.closed_forms_for. A sweep keeps the grid's p, lhs, rhs and
 margin as four (N,) columns. The engine evaluator takes a single p as a
 grid of one, and the closed forms take the same IEEE operations on a float
 p as on a grid, so a sweep point and the evaluator at the same p agree bit
@@ -26,10 +27,12 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_forms import closed_form_report, closed_forms_for
+from .closed_forms import closed_forms_for
 from .criteria import (
     CRITERIA,
     CRITERION_SRUR,
+    MODE_CLOSED_FORM,
+    MODE_LINEAR_G,
     MODES,
     CriterionReport,
     criterion_sides,
@@ -41,7 +44,6 @@ from .families import (
     family_for_dimension,
     family_moments,
 )
-from .inference import MODE_CLOSED_FORM, MODE_LINEAR_G
 
 
 DEFAULT_TOL = 1e-9
@@ -113,21 +115,21 @@ def resolve_family(family: str, d: int | None = None) -> str:
     return named
 
 
-def _check_config(criterion: str, mode: str) -> None:
+def _family_moments(family: str, criterion: str, mode: str) -> Callable:
+    """p values -> InferredMoments: the one moments source of a (family, mode).
+
+    The closed-form mode reads the family's published closed forms, the
+    engine modes its compiled tables (families.family_moments, which a
+    family's audit reads in every mode). The evaluator, sweep and threshold
+    search all take their moments from here.
+    """
     if criterion not in CRITERIA:
         raise FamilyError(f"unknown criterion {criterion!r}")
     if mode not in MODES:
         raise FamilyError(f"unknown mode {mode!r}")
-
-
-def _family_sides(family: str, criterion: str, mode: str) -> Callable:
-    """p values -> (lhs, rhs) arrays for one family/criterion/mode."""
-    _check_config(criterion, mode)
     if mode == MODE_CLOSED_FORM:
-        moments_at = functools.partial(closed_forms_for, family)
-    else:
-        moments_at = family_moments(family)
-    return lambda ps: criterion_sides(moments_at(ps), criterion, mode)
+        return functools.partial(closed_forms_for, family)
+    return family_moments(family)
 
 
 def family_evaluator(
@@ -135,13 +137,10 @@ def family_evaluator(
 ) -> Callable[[float], CriterionReport]:
     """p -> CriterionReport for one family/criterion/mode combination.
 
-    Engine modes take the family's compiled tables and evaluate each p as a
-    batch of one, so the evaluator is pure.
+    Engine modes evaluate each p as a batch of one of the family's compiled
+    tables, so the evaluator is pure.
     """
-    _check_config(criterion, mode)
-    if mode == MODE_CLOSED_FORM:
-        return lambda p: closed_form_report(family, p, criterion)
-    moments_at = family_moments(family)
+    moments_at = _family_moments(family, criterion, mode)
     return lambda p: CriterionReport(
         criterion, mode, moments_at(p), family_descriptor(family, p)
     )
@@ -170,9 +169,9 @@ def sweep(
         raise FamilyError(
             f"steps must be an integer in [2, {MAX_SWEEP_STEPS}], got {steps}"
         )
-    sides = _family_sides(resolve_family(family, d), criterion, mode)
+    moments_at = _family_moments(resolve_family(family, d), criterion, mode)
     grid = np.linspace(p_start, p_end, int(steps))
-    lhs, rhs = sides(grid)
+    lhs, rhs = criterion_sides(moments_at(grid), criterion, mode)
     columns = (grid, lhs, rhs, lhs - rhs)
     for column in columns:
         column.setflags(write=False)
@@ -276,10 +275,10 @@ def find_threshold(
     so the result equals the scalar bisect_threshold on family_evaluator's
     margin.
     """
-    sides = _family_sides(resolve_family(family, d), criterion, mode)
+    moments_at = _family_moments(resolve_family(family, d), criterion, mode)
 
     def margins(ps) -> list:
-        lhs, rhs = sides(ps)
+        lhs, rhs = criterion_sides(moments_at(ps), criterion, mode)
         return (lhs - rhs).tolist()
 
     return _bisect(margins, tol)

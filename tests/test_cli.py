@@ -15,6 +15,7 @@ import pytest
 import steercrit.cli
 from steercrit import (
     DensityMatrix,
+    MeasurementSettings,
     Observable,
     ThresholdError,
     evaluate_srur,
@@ -561,6 +562,39 @@ def test_audit_diff_rows_use_the_bundle_engine_moments(tmp_path, capsys, d, mode
     assert len(rows) == 7
     for row in rows:
         assert row["engine_value"] == bundle["engine_moments"][row["slot"]], row["slot"]
+
+
+@pytest.mark.parametrize("p", ["0.3", "0.9"])
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_family_audit_does_not_depend_on_mode(tmp_path, capsys, d, p):
+    # every mode takes a family's engine moments from its compiled tables;
+    # only the report names the mode
+    seen = set()
+    for mode in ("linear-g", "conditional-mean", "paper-closed-form"):
+        out_path = tmp_path / f"{mode}.json"
+        rc, _, err = run(capsys, "evaluate", "--d", d, "--p", p, "--mode", mode,
+                         "--audit", "--out", str(out_path))
+        assert rc == 0, err
+        bundle = json.loads(out_path.read_text())
+        del bundle["report"]
+        csv_text = Path(f"{out_path}.diff.csv").read_text()
+        seen.add((json.dumps(bundle), csv_text))
+    assert len(seen) == 1
+
+
+def test_warm_closed_form_audit_builds_no_settings(tmp_path, capsys, monkeypatch):
+    argv = ["evaluate", "--d", "3", "--p", "0.5", "--mode", "paper-closed-form",
+            "--audit", "--out", str(tmp_path / "audit.json")]
+    assert main(argv) == 0
+    builds = []
+    build = MeasurementSettings.build
+    monkeypatch.setattr(
+        MeasurementSettings, "build",
+        classmethod(lambda cls, *a, **k: builds.append(a) or build(*a, **k)),
+    )
+    assert main(argv) == 0
+    assert builds == []
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,27 @@ def test_hur_bound_never_exceeds_srur_bound():
         assert srur_rhs(m) >= hur_rhs(m) - 1e-15
 
 
+@pytest.mark.parametrize("mode", (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN))
+def test_srur_covariance_term_flags_a_separable_state(mode):
+    # 1/2 (|++><++| + |--><--|) is a mixture of product states, so no sound
+    # criterion may flag it; HUR does not, but SRUR does through its
+    # inferred product of means, 1/16 where every hidden state has 0
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    rho = DensityMatrix(
+        sum(0.5 * np.outer(np.kron(v, v), np.kron(v, v)) for v in (plus, minus)),
+        (2, 2),
+    )
+    b1, b2 = spin_half("x"), spin_half("z")
+    hur = evaluate_criterion(rho, b1, b2, mode=mode, criterion=CRITERION_HUR)
+    srur = evaluate_criterion(rho, b1, b2, mode=mode, criterion=CRITERION_SRUR)
+    assert hur.margin == 0.0
+    assert not hur.violated
+    assert srur.margin == pytest.approx(-1 / 256, abs=1e-12)
+    assert srur.violated
+    assert srur.moments.product_of_means_inf == pytest.approx(1 / 16, abs=1e-12)
+
+
 def test_conditional_mean_mode_uses_min_variances():
     rho = isotropic(3, 0.6)
     b1, b2, _ = qutrit_triplet()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from steercrit import (
     InvalidStateError,
     ThresholdError,
     bisect_threshold,
+    closed_form_report,
     family_for_dimension,
     family_observables,
     family_state,
@@ -114,6 +117,16 @@ def test_sweep_rows_across_a_chunk_boundary_match_evaluator(d, mode):
         report = evaluator(float(r.p[i]))
         assert (float(r.lhs[i]), float(r.rhs[i])) == (report.lhs, report.rhs), i
         assert float(r.margin[i]) == report.margin, i
+
+
+@pytest.mark.parametrize("criterion", ["srur", "hur"])
+@pytest.mark.parametrize("family", [FAMILY_QUBIT_XZ, FAMILY_QUTRIT_B1B2])
+def test_closed_form_report_is_the_closed_form_evaluator(family, criterion):
+    evaluator = family_evaluator(family, criterion, "paper-closed-form")
+    for p in (*np.linspace(0.0, 1.0, 41).tolist(), 0.5609, 0.9):
+        want, got = closed_form_report(family, p, criterion), evaluator(p)
+        assert (got.lhs, got.rhs) == (want.lhs, want.rhs), p
+        assert got.to_json_dict() == want.to_json_dict(), p
 
 
 @pytest.mark.parametrize("p", [1.0 + 1e-9, -1e-12])
@@ -252,6 +265,18 @@ def test_engine_thresholds_hit_golden_ratio_root():
                 assert not r.multi_crossing
                 lo, hi = r.bracket
                 assert hi - lo <= 1e-9
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's one Python block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    first, second = capsys.readouterr().out.splitlines()
+    margin, violated = first.split()
+    assert float(margin) < 0.0
+    assert violated == "True"
+    assert float(second) == pytest.approx(GOLDEN, abs=1e-9)
 
 
 def test_threshold_result_json_fields():

@@ -61,7 +61,6 @@ from .families import (
 from .inference import (
     InferenceError,
     InferredMoments,
-    JointDistribution,
     MeasurementSettings,
     expectation,
     full_moments,

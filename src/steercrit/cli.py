@@ -248,11 +248,9 @@ def _cmd_evaluate(args) -> int:
         engine, closed_diff = report.moments, None
         if family is not None:  # only the audit reads a family's state and observables
             rho, (b1, b2) = family_state(family, p), family_observables(family)
-            # a closed-form report carries closed-form moments; the engine
-            # moments come from the compiled family, as in the engine modes,
-            # so the bundle does not depend on the mode
-            if args.mode == MODE_CLOSED_FORM:
-                engine = family_moments(family)(p)
+            # the compiled family's moments in every mode, so the bundle does
+            # not depend on the mode
+            engine = family_moments(family, p)
             closed_diff = diff_rows(family, p, engine)
         oracle = audit_dump(rho, b1, b2, rule)
         engine_moments = engine.as_dict()

@@ -9,10 +9,10 @@ pairing. Adding a family is adding a row to _PRESETS.
 "qutrit-b1b2": d = 3 isotropic states probed with the qutrit pair (B1, B2).
 
 Each family is compiled once per process, on its first family_moments
-call: its MeasurementSettings (one ten-operator eigensolve), its two
-validated end states p = 0 and p = 1 and their packed (T, A, B, 2) tables.
-The record holds about 27 KB for the qubit family and 129 KB for the
-qutrit one (tracemalloc), and every array in it that a later call reads is
+call, into its MeasurementSettings (one ten-operator eigensolve) and the
+packed (T, A, B, 2) tables of its two validated end states p = 0 and p = 1.
+Together they hold about 27 KB for the qubit family and 129 KB for the
+qutrit one (tracemalloc), and every array in them that a later call reads is
 read-only, so no caller can change what the next one sees.
 family_observables and family_state still build fresh objects on every
 call.
@@ -21,8 +21,6 @@ call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -74,32 +72,23 @@ def family_descriptor(family: str, p: float) -> str:
     return f"isotropic(d={d}, p={p:.12g}); observables=({b1},{b2})"
 
 
-@dataclass(frozen=True, eq=False)
-class _CompiledFamily:
-    """A family's settings, its read-only packed (T, A, B, 2) end-state
-    tables and the full dimension D of its states."""
-
-    settings: MeasurementSettings
-    ends: np.ndarray
-    dim: int
-
-
 @functools.cache
-def _compiled(family: str) -> _CompiledFamily:
-    """The family's compiled record, built on its first use in the process.
+def _compiled(family: str) -> tuple[MeasurementSettings, np.ndarray]:
+    """The family's settings and read-only packed (T, A, B, 2) end-state
+    tables, built on their first use in the process.
 
     An unknown name raises FamilyError, and a raise is not cached, so the
-    cache holds at most one record per _PRESETS row.
+    cache holds at most one entry per _PRESETS row.
     """
     settings = MeasurementSettings.build(*family_observables(family))
     ends = (family_state(family, 0.0), family_state(family, 1.0))
     stack = settings.packed_tables(np.stack([rho.matrix for rho in ends]))
     stack.setflags(write=False)
-    return _CompiledFamily(settings, stack, ends[0].dim)
+    return settings, stack
 
 
-def family_moments(family: str) -> Callable[..., InferredMoments]:
-    """p values -> InferredMoments, one (N,) array per field, at those p.
+def family_moments(family: str, ps) -> InferredMoments:
+    """InferredMoments at the p values ps, one (N,) array per field.
 
     A float p gives the float record, row 0 of the batch of one [p].
     rho(p) = (1 - p) rho(0) + p rho(1) and every table cell is linear in rho,
@@ -108,14 +97,10 @@ def family_moments(family: str) -> Callable[..., InferredMoments]:
     state is built, but a p outside [0, 1] raises the InvalidStateError that
     family_state raises for it.
     """
-    compiled = _compiled(family)
-
-    def moments_at(ps) -> InferredMoments:
-        w = np.asarray(ps, dtype=float)
-        outside = ~((0.0 <= w) & (w <= 1.0))
-        if outside.any():
-            family_state(family, w[outside][0])  # raises for this p
-        moments = mixed_moments(compiled.settings, compiled.ends, w.reshape(-1), compiled.dim)
-        return moments.row(0) if w.ndim == 0 else moments
-
-    return moments_at
+    settings, ends = _compiled(family)
+    w = np.asarray(ps, dtype=float)
+    outside = ~((0.0 <= w) & (w <= 1.0))
+    if outside.any():
+        family_state(family, w[outside][0])  # raises for this p
+    moments = mixed_moments(settings, ends, w.reshape(-1))
+    return moments.row(0) if w.ndim == 0 else moments

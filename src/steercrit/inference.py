@@ -76,15 +76,6 @@ class InferenceError(ValueError):
     """Ill-posed statistical quantity (bad table, vanishing <A^2>, ...)."""
 
 
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
-    """Outcome table P(a, b) for one (Alice, Bob) observable pairing."""
-
-    alice_outcomes: tuple[float, ...]
-    bob_outcomes: tuple[float, ...]
-    probs: np.ndarray
-
-
 def _check_state_matches(rho: DensityMatrix, pairing: ObservablePairing) -> None:
     if not rho.is_bipartite:
         raise InferenceError("joint statistics need a bipartite state")
@@ -160,8 +151,12 @@ def _sum_outcomes(x: np.ndarray, weights=None) -> np.ndarray:
     return total
 
 
-def joint_distribution(rho: DensityMatrix, pairing: ObservablePairing) -> JointDistribution:
-    """P(a, b) = tr[rho (P_a tensor Q_b)] over merged eigenprojectors."""
+def joint_distribution(rho: DensityMatrix, pairing: ObservablePairing) -> np.ndarray:
+    """P(a, b) = tr[rho (P_a tensor Q_b)] over merged eigenprojectors.
+
+    The clamped, read-only (na, nb) table; row a belongs to
+    pairing.alice.outcomes[a], column b to pairing.bob.outcomes[b].
+    """
     _check_state_matches(rho, pairing)
     raw = _contract(rho.matrix[None], pairing.projector_products)[..., 0]
     low, total = raw.min(), raw.sum()
@@ -171,7 +166,7 @@ def joint_distribution(rho: DensityMatrix, pairing: ObservablePairing) -> JointD
     )
     probs = np.where(raw < PROB_CLAMP, 0.0, raw)
     probs.setflags(write=False)
-    return JointDistribution(pairing.alice.outcomes, pairing.bob.outcomes, probs)
+    return probs
 
 
 def expectation(rho: DensityMatrix, matrix: np.ndarray) -> float:
@@ -212,6 +207,12 @@ class MeasurementSettings:
             pairs[name] = ObservablePairing(bob=derive(b1, b2), alice=derive(a1, a2))
         decompose(obs for pair in pairs.values() for obs in (pair.bob, pair.alice))
         return cls(pairs)
+
+    @cached_property
+    def dim(self) -> int:
+        """The full dimension D of the states the settings measure: the b1
+        pairing's Alice dimension times its Bob dimension."""
+        return self.pairs["b1"].alice.dim * self.pairs["b1"].bob.dim
 
     @cached_property
     def shape(self) -> tuple[int, int, int]:
@@ -305,7 +306,7 @@ class InferredMoments:
         return self._checked(float(value[i]) for value in vars(self).values())
 
 
-def _reduce(settings: MeasurementSettings, raw: np.ndarray, dim: int, out: np.ndarray) -> None:
+def _reduce(settings: MeasurementSettings, raw: np.ndarray, out: np.ndarray) -> None:
     """Check one (T, A, B, n) chunk of raw tables and write its moments to out.
 
     raw is clamped in place, so it must be a chunk the reduction owns, never
@@ -335,7 +336,7 @@ def _reduce(settings: MeasurementSettings, raw: np.ndarray, dim: int, out: np.nd
     sq = _sum_outcomes(over[[0, 1, 4]])
     var_min = np.maximum(0.0, _sum_outcomes(m2[:2] - over[:2]))
     bad = np.concatenate((
-        _table_bad(low, total, dim).swapaxes(0, 1).reshape(-1, raw.shape[-1]),
+        _table_bad(low, total, settings.dim).swapaxes(0, 1).reshape(-1, raw.shape[-1]),
         mean_a2 <= ALICE_POWER_FLOOR,
         _order_bad(var_inf, var_min, sq[:2]),
     ))
@@ -355,7 +356,7 @@ def _reduce(settings: MeasurementSettings, raw: np.ndarray, dim: int, out: np.nd
     ), out=out)
 
 
-def _moments(settings: MeasurementSettings, n: int, dim: int, chunk) -> InferredMoments:
+def _moments(settings: MeasurementSettings, n: int, chunk) -> InferredMoments:
     """Reduce N states BATCH_CHUNK at a time; chunk(lo, hi) is their raw stack.
 
     A failing chunk raises before any later chunk is formed, so the first
@@ -364,28 +365,29 @@ def _moments(settings: MeasurementSettings, n: int, dim: int, chunk) -> Inferred
     fields = np.empty((12, n))
     for lo in range(0, n, BATCH_CHUNK):
         hi = min(lo + BATCH_CHUNK, n)
-        _reduce(settings, chunk(lo, hi), dim, fields[:, lo:hi])
+        _reduce(settings, chunk(lo, hi), fields[:, lo:hi])
     return InferredMoments._checked(fields)
 
 
-def moment_batch(settings: MeasurementSettings, tables: np.ndarray, dim: int) -> InferredMoments:
+def moment_batch(settings: MeasurementSettings, tables: np.ndarray) -> InferredMoments:
     """Check and clamp N states' packed (T, A, B, N) raw tables, then reduce
     them to every moment.
 
-    dim is the full dimension D of the states; every field of the result is
-    an (N,) array. An InferenceError names the first state that fails a
-    check, and that state's first failed check. The reduction clamps a copy
-    of each chunk, so the caller's tables are left unchanged.
+    Every field of the result is an (N,) array, and a cell below
+    -PSD_TOL * settings.dim fails the negativity check. An InferenceError
+    names the first state that fails a check, and that state's first failed
+    check. The reduction clamps a copy of each chunk, so the caller's tables
+    are left unchanged.
     """
     if tables.shape[:-1] != settings.shape:
         raise InferenceError(
             f"packed tables of shape {tables.shape} do not match settings {settings.shape}"
         )
-    return _moments(settings, tables.shape[-1], dim, lambda lo, hi: tables[..., lo:hi].copy())
+    return _moments(settings, tables.shape[-1], lambda lo, hi: tables[..., lo:hi].copy())
 
 
 def mixed_moments(
-    settings: MeasurementSettings, ends: np.ndarray, weights: np.ndarray, dim: int
+    settings: MeasurementSettings, ends: np.ndarray, weights: np.ndarray
 ) -> InferredMoments:
     """moment_batch of the tables (1 - w) ends[..., 0] + w ends[..., 1], per weight w.
 
@@ -402,7 +404,7 @@ def mixed_moments(
             table += w * end
         return mixed
 
-    return _moments(settings, len(weights), dim, chunk)
+    return _moments(settings, len(weights), chunk)
 
 
 def full_moments(
@@ -415,4 +417,4 @@ def full_moments(
     """
     settings = MeasurementSettings.build(b1, b2, pairing_rule)
     _check_state_matches(rho, settings.pairs["b1"])
-    return moment_batch(settings, settings.packed_tables(rho.matrix[None]), rho.dim).row(0)
+    return moment_batch(settings, settings.packed_tables(rho.matrix[None])).row(0)

@@ -95,32 +95,27 @@ class DensityMatrix:
         return len(self.dims) == 2
 
 
-def _psi_plus(d: int) -> np.ndarray:
-    """The matrix |Psi+><Psi+| with |Psi+> = sum_i |ii> / sqrt(d), integer d >= 2."""
-    if int(d) != d or d < 2:
-        raise InvalidStateError(f"d must be an integer >= 2, got {d}")
-    # entry i * d + i of the flattened identity is |ii>
-    vec = np.eye(int(d), dtype=complex).reshape(-1) * (1.0 / np.sqrt(d))
-    return np.outer(vec, vec.conj())
-
-
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto |Psi+> = sum_i |ii> / sqrt(d), as a (d, d) state."""
-    return DensityMatrix(_psi_plus(d), (int(d), int(d)))
+    return isotropic(d, 1.0)
 
 
 def isotropic(d: int, p: float) -> DensityMatrix:
-    """The isotropic state (1 - p) I / d^2 + p |Psi+><Psi+|, integer d >= 2.
+    """The isotropic state (1 - p) I / d^2 + p |Psi+><Psi+| with
+    |Psi+> = sum_i |ii> / sqrt(d), integer d >= 2.
 
     Spectrum: (1 - p) / d^2 with multiplicity d^2 - 1, and (1 - p) / d^2 + p
     once, so the result is a valid state for every p in [0, 1].
     """
-    psi = _psi_plus(d)
+    if int(d) != d or d < 2:
+        raise InvalidStateError(f"d must be an integer >= 2, got {d}")
     if not 0.0 <= p <= 1.0:
         raise InvalidStateError(f"p must lie in [0, 1], got {p}")
     d, p = int(d), float(p)
+    # entry i * d + i of the flattened identity is |ii>
+    vec = np.eye(d, dtype=complex).reshape(-1) * (1.0 / np.sqrt(d))
     noise = np.eye(d * d, dtype=complex) * ((1.0 - p) / (d * d))
-    return DensityMatrix(noise + p * psi, (d, d))
+    return DensityMatrix(noise + p * np.outer(vec, vec.conj()), (d, d))
 
 
 def state_diagnostics(m) -> dict:

@@ -118,18 +118,18 @@ def resolve_family(family: str, d: int | None = None) -> str:
 def _family_moments(family: str, criterion: str, mode: str) -> Callable:
     """p values -> InferredMoments: the one moments source of a (family, mode).
 
-    The closed-form mode reads the family's published closed forms, the
-    engine modes its compiled tables (families.family_moments, which a
-    family's audit reads in every mode). The evaluator, sweep and threshold
-    search all take their moments from here.
+    The closed-form mode reads the family's published closed forms
+    (closed_forms_for), the engine modes its compiled tables
+    (families.family_moments, which a family's audit reads in every mode);
+    both take (family, p values). The evaluator, sweep and threshold search
+    all take their moments from here.
     """
     if criterion not in CRITERIA:
         raise FamilyError(f"unknown criterion {criterion!r}")
     if mode not in MODES:
         raise FamilyError(f"unknown mode {mode!r}")
-    if mode == MODE_CLOSED_FORM:
-        return functools.partial(closed_forms_for, family)
-    return family_moments(family)
+    source = closed_forms_for if mode == MODE_CLOSED_FORM else family_moments
+    return functools.partial(source, family)
 
 
 def family_evaluator(

@@ -194,7 +194,7 @@ def test_evaluator_equals_the_sides_of_its_batch(d):
     settings_ = MeasurementSettings.build(b1, b2)
     for _ in range(100):
         rho = random_bipartite(rng, d, d)
-        batch = moment_batch(settings_, settings_.packed_tables(rho.matrix[None]), d * d)
+        batch = moment_batch(settings_, settings_.packed_tables(rho.matrix[None]))
         for mode in (MODE_LINEAR_G, MODE_CONDITIONAL_MEAN):
             for criterion in CRITERIA:
                 lhs, rhs = criterion_sides(batch, criterion, mode)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -38,18 +39,18 @@ def _bits(record) -> dict:
 def test_compiled_arrays_are_read_only(family):
     # one compiled record serves every later call in the process, so a
     # write to it would change every later evaluation of the family
-    compiled = steercrit.families._compiled(family)
-    arrays = (compiled.ends, compiled.settings.products, *compiled.settings.outcome_weights)
+    settings_, ends = steercrit.families._compiled(family)
+    arrays = (ends, settings_.products, *settings_.outcome_weights)
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
-    assert compiled.ends.shape == compiled.settings.shape + (2,)
+    assert ends.shape == settings_.shape + (2,)
 
 
 @pytest.mark.parametrize("mode", ENGINE_MODES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_family_moments_accepts_a_float_p(family, mode):
-    moments_at = family_moments(family)
+    moments_at = functools.partial(family_moments, family)
     evaluator = family_evaluator(family, "srur", mode)
     for p in (0.0, 0.25, GOLDEN, 1.0):
         record = moments_at(p)
@@ -117,7 +118,7 @@ def test_warm_and_cold_family_give_the_same_bytes(family, mode, monkeypatch):
 @pytest.mark.parametrize("mode", ENGINE_MODES)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_warm_family_still_rejects_p_outside_unit_interval(family, mode):
-    moments_at = family_moments(family)
+    moments_at = functools.partial(family_moments, family)
     evaluator = family_evaluator(family, "srur", mode)
     evaluator(0.5)
     for p in (-0.1, 1.5, float("nan")):
@@ -129,5 +130,5 @@ def test_warm_family_still_rejects_p_outside_unit_interval(family, mode):
 
 def test_unknown_family_is_not_compiled():
     with pytest.raises(FamilyError, match="unknown family"):
-        family_moments("qubit-xy")
+        family_moments("qubit-xy", 0.5)
     assert steercrit.families._compiled.cache_info().currsize == 0

@@ -26,6 +26,7 @@ from steercrit import (
     ObservablePairing,
     default_pairing,
     explicit_pairing,
+    family_for_dimension,
     family_observables,
     family_state,
     full_moments,
@@ -37,7 +38,8 @@ from steercrit import (
     qutrit_triplet,
     spin_half,
 )
-from steercrit.inference import _contract
+from steercrit.inference import _contract, mixed_moments
+from steercrit.tolerances import PROB_CLAMP, PSD_TOL
 
 from conftest import random_bipartite, random_observable, rotated
 
@@ -47,24 +49,25 @@ def _pairing(obs: Observable) -> ObservablePairing:
 
 
 def test_bell_state_perfectly_correlated_in_z():
-    jd = joint_distribution(max_entangled(2), _pairing(spin_half("z")))
-    assert jd.alice_outcomes == (0.5, -0.5)
-    assert jd.bob_outcomes == (0.5, -0.5)
-    np.testing.assert_allclose(jd.probs, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+    pairing = _pairing(spin_half("z"))
+    probs = joint_distribution(max_entangled(2), pairing)
+    assert pairing.alice.outcomes == (0.5, -0.5)
+    assert pairing.bob.outcomes == (0.5, -0.5)
+    np.testing.assert_allclose(probs, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
 
 
 def test_white_noise_is_uniform():
     rho = isotropic(2, 0.0)
-    jd = joint_distribution(rho, _pairing(spin_half("x")))
-    np.testing.assert_allclose(jd.probs, np.full((2, 2), 0.25), atol=1e-12)
+    probs = joint_distribution(rho, _pairing(spin_half("x")))
+    np.testing.assert_allclose(probs, np.full((2, 2), 0.25), atol=1e-12)
 
 
 def test_qutrit_marginals_are_uniform():
     rho = isotropic(3, 0.4)
     b1 = qutrit_triplet()[0]
-    jd = joint_distribution(rho, _pairing(b1))
-    np.testing.assert_allclose(jd.probs.sum(axis=1), np.full(3, 1 / 3), atol=1e-12)
-    np.testing.assert_allclose(jd.probs.sum(axis=0), np.full(3, 1 / 3), atol=1e-12)
+    probs = joint_distribution(rho, _pairing(b1))
+    np.testing.assert_allclose(probs.sum(axis=1), np.full(3, 1 / 3), atol=1e-12)
+    np.testing.assert_allclose(probs.sum(axis=0), np.full(3, 1 / 3), atol=1e-12)
 
 
 def test_joint_distribution_rejects_mismatch():
@@ -76,12 +79,41 @@ def test_joint_distribution_rejects_mismatch():
         joint_distribution(single, _pairing(spin_half("x")))
 
 
+@pytest.mark.parametrize("d", (2, 3))
+def test_joint_distribution_is_the_clamped_packed_slice(d):
+    # the single-pairing route and the packed stack give one table: pairing
+    # t's slice of the packed tables, clamped like the reduction clamps it.
+    # The family's p = 1 state has roundoff cells that the clamp zeroes
+    rng = np.random.default_rng(5000 + d)
+    family_settings = MeasurementSettings.build(*family_observables(family_for_dimension(d)))
+    cases = [(family_settings, max_entangled(d))] + [
+        (
+            MeasurementSettings.build(
+                random_observable(rng, d, "B1"), random_observable(rng, d, "B2")
+            ),
+            random_bipartite(rng, d, d, rank=1),
+        )
+        for _ in range(20)
+    ]
+    for settings_, rho in cases:
+        tables = settings_.packed_tables(rho.matrix[None])
+        for t, pairing in enumerate(settings_.pairs.values()):
+            probs = joint_distribution(rho, pairing)
+            na, nb = len(pairing.alice.outcomes), len(pairing.bob.outcomes)
+            sliced = tables[t, :na, :nb, 0]
+            clamped = np.where(sliced < PROB_CLAMP, 0.0, sliced)
+            assert probs.shape == clamped.shape
+            assert probs.tobytes() == clamped.tobytes()
+            assert not probs.flags.writeable
+
+
 def test_conditional_mean_scales_with_p():
     p = 0.6
     rho = isotropic(2, p)
-    jd = joint_distribution(rho, _pairing(spin_half("z")))
+    pairing = _pairing(spin_half("z"))
+    probs = joint_distribution(rho, pairing)
     # <B | A = a> = sum_b P(a, b) b / P(a), for a = +1/2 and -1/2
-    means = jd.probs @ np.asarray(jd.bob_outcomes) / jd.probs.sum(axis=1)
+    means = probs @ np.asarray(pairing.bob.outcomes) / probs.sum(axis=1)
     np.testing.assert_allclose(means, [p * 0.5, -p * 0.5], atol=1e-12)
 
 
@@ -226,8 +258,8 @@ def test_moment_batch_reports_first_failing_state():
     good = isotropic(2, 0.5).matrix
     raw = settings_.packed_tables(np.stack([good, below_zero(1e-3), below_zero(2e-3)]))
     with pytest.raises(InferenceError, match="negative joint probability -1.000e-03"):
-        moment_batch(settings_, raw, 4)
-    batch = moment_batch(settings_, settings_.packed_tables(good[None]), 4)
+        moment_batch(settings_, raw)
+    batch = moment_batch(settings_, settings_.packed_tables(good[None]))
     assert batch.row(0).as_dict() == full_moments(
         DensityMatrix(good, dims=(2, 2)), spin_half("x"), spin_half("z")
     ).as_dict()
@@ -254,10 +286,10 @@ def test_moment_batch_reports_a_row_check_before_a_later_table_check():
     raw = settings_.packed_tables(np.stack([good, good]))
     raw[_table(settings_, "b2"), 0, 0, 1] = -1e-3
     with pytest.raises(InferenceError, match="<A\\^2> = 0.000e\\+00"):
-        moment_batch(settings_, raw, 4)
+        moment_batch(settings_, raw)
     later = raw[..., 1:]
     with pytest.raises(InferenceError, match="negative joint probability -1.000e-03"):
-        moment_batch(settings_, later, 4)
+        moment_batch(settings_, later)
 
 
 def test_moment_batch_checks_tables_in_order_within_a_row():
@@ -265,10 +297,10 @@ def test_moment_batch_checks_tables_in_order_within_a_row():
     raw = _qubit_tables(settings_)
     raw[_table(settings_, "difference")] *= 1.5
     with pytest.raises(InferenceError, match="sum to 1.5, not 1"):
-        moment_batch(settings_, raw, 4)
+        moment_batch(settings_, raw)
     raw[_table(settings_, "b2"), 1, 1, 0] = -2e-3
     with pytest.raises(InferenceError, match="negative joint probability -2.000e-03"):
-        moment_batch(settings_, raw, 4)
+        moment_batch(settings_, raw)
 
 
 def test_smaller_table_reports_its_own_values():
@@ -280,10 +312,10 @@ def test_smaller_table_reports_its_own_values():
     t = _table(settings_, "anticommutator")
     raw[t, 0, 0, 0] = 0.75
     with pytest.raises(InferenceError, match="sum to 0.75, not 1"):
-        moment_batch(settings_, raw, 4)
+        moment_batch(settings_, raw)
     raw[t, 0, 0, 0] = -0.25
     with pytest.raises(InferenceError, match="negative joint probability -2.500e-01"):
-        moment_batch(settings_, raw, 4)
+        moment_batch(settings_, raw)
 
 
 def test_tables_of_unequal_shape_match_the_oracle(rng):
@@ -318,9 +350,9 @@ def test_moment_batch_rows_do_not_depend_on_the_batch(d):
         )
         stack = np.stack([random_bipartite(rng, d, d).matrix for _ in range(4)])
         raw = settings_.packed_tables(stack)
-        batch = moment_batch(settings_, raw, d * d)
+        batch = moment_batch(settings_, raw)
         for i in range(4):
-            alone = moment_batch(settings_, raw[..., i:i + 1], d * d)
+            alone = moment_batch(settings_, raw[..., i:i + 1])
             assert batch.row(i).as_dict() == alone.row(0).as_dict()
 
 
@@ -362,13 +394,13 @@ def test_moment_batch_leaves_the_callers_tables_unchanged(rng):
     # cells the reduction clamps to 0: a tiny negative one and a tiny positive one
     raw[_table(qubit, "b1"), 0, 1, 0] = -1e-13
     raw[_table(qubit, "b2"), 1, 0, 0] = 5e-13
-    cases = [(qubit, raw, 4)] + [
-        (settings_, settings_.packed_tables(states), states.shape[-1])
+    cases = [(qubit, raw)] + [
+        (settings_, settings_.packed_tables(states))
         for settings_, states in _degenerate_cases(rng)
     ]
-    for settings_, tables, dim in cases:
+    for settings_, tables in cases:
         before = tables.copy()
-        moment_batch(settings_, tables, dim)
+        moment_batch(settings_, tables)
         assert tables.tobytes() == before.tobytes()
 
 
@@ -384,7 +416,37 @@ def test_moment_batch_rejects_tables_of_another_shape():
     )
     for raw in wrong:
         with pytest.raises(InferenceError, match=r"packed tables of shape .* do not match"):
-            moment_batch(qubit, raw, 4)
+            moment_batch(qubit, raw)
+
+
+@pytest.mark.parametrize("b1,b2,d", (
+    (spin_half("x"), spin_half("z"), 2),
+    (*qutrit_triplet()[:2], 3),
+))
+def test_negativity_bound_comes_from_the_settings(b1, b2, d):
+    # a cell passes down to -PSD_TOL * D with D = d * d the settings'
+    # dimension, through both reductions; the difference moves to another
+    # cell of the same table, so the table stays normalised
+    settings_ = MeasurementSettings.build(b1, b2)
+    dim = settings_.dim
+    assert dim == d * d
+
+    def edited(cell: float) -> np.ndarray:
+        raw = settings_.packed_tables(isotropic(d, 0.5).matrix[None])
+        t = _table(settings_, "b1")
+        raw[t, 1, 1, 0] += raw[t, 0, 0, 0] - cell
+        raw[t, 0, 0, 0] = cell
+        return raw
+
+    weights = np.array([0.0, 0.5, 1.0])
+    reductions = (
+        lambda raw: moment_batch(settings_, raw),
+        lambda raw: mixed_moments(settings_, np.concatenate((raw, raw), axis=-1), weights),
+    )
+    for reduction in reductions:
+        reduction(edited(-(dim - 0.5) * PSD_TOL))
+        with pytest.raises(InferenceError, match="negative joint probability"):
+            reduction(edited(-(dim + 0.5) * PSD_TOL))
 
 
 def test_moment_record_rejects_inverted_variances():

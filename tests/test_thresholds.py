@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from pathlib import Path
@@ -340,12 +341,12 @@ def test_family_moments_repeat_calls_return_the_same_bits(family, monkeypatch):
     stacks = []
     real = steercrit.families.mixed_moments
 
-    def recorded(settings_, ends, weights, dim):
+    def recorded(settings_, ends, weights):
         stacks.append((ends, ends.copy()))
-        return real(settings_, ends, weights, dim)
+        return real(settings_, ends, weights)
 
     monkeypatch.setattr(steercrit.families, "mixed_moments", recorded)
-    moments_at = steercrit.families.family_moments(family)
+    moments_at = functools.partial(steercrit.families.family_moments, family)
     ps = np.linspace(0.0, 1.0, 11)
     given = ps.copy()
     first = {k: v.copy() for k, v in vars(moments_at(ps)).items()}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -100,12 +101,16 @@ def _add_validate_state_flags(va: argparse.ArgumentParser) -> None:
     va.add_argument("--state", type=Path, required=True)
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv: every command is listed, but only a command
-    named by some token of argv gets its flags.
+@functools.cache
+def _build_parser(commands: tuple) -> argparse.ArgumentParser:
+    """The parser for the command names that argv holds, in _COMMANDS order:
+    every command is listed, but only those in commands get their flags.
 
     argparse hands the remaining tokens only to the subparser that a token
-    names, so the other subparsers are never called and need no flags.
+    names, so the other subparsers are never called and need no flags. One
+    parser per subset of names, at most 2**4, is built once per process;
+    parsing leaves it unchanged, and its help and errors read COLUMNS when
+    they are formatted.
     """
     parser = argparse.ArgumentParser(
         prog="steercrit",
@@ -114,7 +119,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        if name in argv:
+        if name in commands:
             add_flags(command)
     return parser
 
@@ -323,7 +328,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser(tuple(name for name in _COMMANDS if name in argv)).parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)
     except (_ConfigError, FamilyError) as exc:

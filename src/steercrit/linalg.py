@@ -55,7 +55,7 @@ def matrix_from_json(rows) -> np.ndarray:
         raise LinalgError("matrix JSON must be a square grid of [re, im] pairs")
     try:
         # type(), not isinstance(): a JSON boolean is a Python int subclass
-        numbers = all(type(x) in (int, float) for x in arr.flat)
+        numbers = set(map(type, arr.flat)) <= {int, float}
         values = arr.astype(float) if numbers else None
     except OverflowError:  # an integer beyond the double range
         values = None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -26,7 +27,7 @@ from steercrit import (
     spin_half,
     state_to_json,
 )
-from steercrit.cli import main
+from steercrit.cli import _COMMANDS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -705,3 +706,62 @@ def test_unknown_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_second_call_with_the_same_commands_builds_no_parser(capsys):
+    argv = ["evaluate", "--d", "2", "--p", "0.5"]
+    assert main(argv) == 0
+    misses = _build_parser.cache_info().misses
+    assert main(argv) == 0
+    assert main(["evaluate", "--d", "3", "--p", "0.9", "--criterion", "hur"]) == 0
+    assert _build_parser.cache_info().misses == misses
+    capsys.readouterr()
+
+
+def test_no_flag_leaks_from_one_call_into_the_next(tmp_path, capsys):
+    argv = ["evaluate", "--d", "2", "--p", "0.5"]
+    _build_parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    out = tmp_path / "audit.json"
+    assert run(capsys, *argv, "--audit", "--out", str(out))[0] == 0
+    out.unlink()
+    # a parser that kept --audit and --out would make this call an audit
+    assert run(capsys, *argv) == fresh
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", (
+    (("evaluate", "-h"), 0),
+    (("sweep", "--d", "2"), 2),  # --out is missing
+))
+def test_cached_parser_text_matches_a_real_process_at_each_width(capsys, monkeypatch,
+                                                                  argv, code):
+    # argparse reads COLUMNS when it formats text, not when it builds the
+    # parser, so a parser built at one width prints at the next
+    src = Path(steercrit.cli.__file__).resolve().parents[1]
+    for columns in ("200", "40", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = _exit(capsys, *argv)
+        done = subprocess.run(
+            [sys.executable, "-m", "steercrit", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == code
+        assert got == (code, done.stdout, done.stderr)
+
+
+def test_parser_cache_holds_one_entry_per_set_of_command_names(capsys):
+    _build_parser.cache_clear()
+    for argv in (["sweep", "evaluate", "--bogus"], ["evaluate", "sweep", "--bogus"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert _build_parser.cache_info().currsize == 1
+    for k in range(len(_COMMANDS) + 1):
+        for names in itertools.combinations(_COMMANDS, k):
+            with pytest.raises(SystemExit):
+                main([*names, "--bogus"])
+            assert _build_parser.cache_info().currsize <= 2 ** len(_COMMANDS) == 16
+    assert _build_parser.cache_info().currsize == 16
+    capsys.readouterr()

@@ -14,7 +14,7 @@ from steercrit import (
     qutrit_triplet,
     spin_half,
 )
-from steercrit.linalg import as_matrix, max_abs
+from steercrit.linalg import as_matrix, matrix_from_json, max_abs
 from steercrit.tolerances import DEGENERACY_TOL
 
 from conftest import random_hermitian
@@ -41,6 +41,28 @@ def test_as_matrix_rejects_non_finite():
         as_matrix([[np.inf, 0], [0, 0]])
     with pytest.raises(LinalgError):
         as_matrix([[np.nan, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("entry, value", (
+    (1, 1.0), (-0.5, -0.5), (0, 0.0), (10**20, 1e20), (2**1023, 2.0**1023),
+))
+def test_matrix_from_json_accepts_finite_numbers(entry, value):
+    # the int and the float of one pair parse as one complex entry
+    m = matrix_from_json([[[entry, 0.25], [0, 0]], [[0, 0], [1, -1]]])
+    assert m.dtype == np.complex128
+    assert m[0, 0] == complex(value, 0.25)
+    assert m[1, 1] == complex(1.0, -1.0)
+
+
+@pytest.mark.parametrize("entry", (
+    True, False, None, "1", float("nan"), float("inf"), -float("inf"), 10**400,
+    [1.0], {"re": 1.0}, 1j, np.float64(1.0),
+))
+def test_matrix_from_json_rejects_what_is_not_a_json_number(entry):
+    # booleans are int subclasses, and numpy scalars are no JSON value
+    for row in ([[entry, 0.0], [0, 0]], [[0.0, 0.0], [0, entry]]):
+        with pytest.raises(LinalgError):
+            matrix_from_json([row, [[0, 0], [1, 0]]])
 
 
 def test_shape_mismatch_raises():

@@ -3,8 +3,8 @@
 Each workload of bench/workloads.py builds its seed-1 item pool in a
 scratch directory, and every item's commands run through in-process
 ``steercrit.cli.main`` three times: once to fill caches, once under cProfile
-(the number of calls, Python and built-in, that it records) and once under
-tracemalloc (the peak of traced memory). Unlike wall times, these repeat
+(the number of calls, Python and built-in, made inside ``main``) and once
+under tracemalloc (the peak of traced memory). Unlike wall times, these repeat
 across processes, so two revisions can be compared on a host whose timings
 spread. Warm-up outcomes are checked against the workload's references; a
 failed item makes the exit code 1.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import cProfile
+import functools
 import io
 import json
 import os
@@ -39,8 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 
 
-def run_item(cli, item) -> list:
-    """Run each command of item in-process and return its outcomes."""
+def run_item(main, item) -> list:
+    """Run each command of item through main and return its outcomes."""
     from workloads import Outcome
 
     outcomes = []
@@ -50,7 +51,7 @@ def run_item(cli, item) -> list:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
-                code = cli.main(list(command.argv))
+                code = main(list(command.argv))
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code if isinstance(exc.code, int) else 2
         outcomes.append(Outcome(code, out.getvalue(), {
@@ -66,15 +67,13 @@ def count_workload(cli, workload_class, items: int | None) -> dict:
         try:
             workload = workload_class(SEED, Path(workdir))
             pool = [workload.item(i) for i in range(items or len(workload))]
-            failed = sum(bool(item.check(run_item(cli, item), {})) for item in pool)
+            failed = sum(bool(item.check(run_item(cli.main, item), {})) for item in pool)
             profile = cProfile.Profile()
-            profile.enable()
             for item in pool:
-                run_item(cli, item)
-            profile.disable()
+                run_item(functools.partial(profile.runcall, cli.main), item)
             tracemalloc.start()
             for item in pool:
-                run_item(cli, item)
+                run_item(cli.main, item)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         finally:

@@ -4,9 +4,9 @@ Each workload of bench/workloads.py builds its seed-1 item pool in a
 scratch directory, and every item's commands run through in-process
 ``steercrit.cli.main`` three times: once to fill caches, once under cProfile
 (the number of calls, Python and built-in, made inside ``main``) and once
-under tracemalloc (the peak of traced memory). Unlike wall times, these repeat
-across processes, so two revisions can be compared on a host whose timings
-spread. Warm-up outcomes are checked against the workload's references; a
+under tracemalloc (the peak of traced memory). Unlike wall times, the call
+counts repeat exactly across processes, so two revisions can be compared on
+a host whose timings spread; the peak varies by a few KB. Warm-up outcomes are checked against the workload's references; a
 failed item makes the exit code 1.
 
 Usage, from the root of a checkout:
